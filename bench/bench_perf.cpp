@@ -209,6 +209,21 @@ void BM_MinSpeedup(benchmark::State& state) {
 }
 BENCHMARK(BM_MinSpeedup)->Arg(4)->Arg(6)->Arg(8);
 
+// The facade's Theorem 2 half alone (running DBF_HI state) on the same sets
+// as BM_MinSpeedup/N (direct sums), so the two show side by side per size.
+void BM_SpeedupSweep(benchmark::State& state) {
+  const TaskSet set = make_set(static_cast<std::uint64_t>(state.range(0)),
+                               static_cast<double>(state.range(0)) / 10.0, -1.0, 2.0);
+  const Analyzer analyzer;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(
+        analyzer.analyze(set, 2.0, {.speedup = true, .reset = false, .lo = false})
+            .value()
+            .s_min);
+  state.SetLabel(std::to_string(set.size()) + " tasks");
+}
+BENCHMARK(BM_SpeedupSweep)->Arg(4)->Arg(6)->Arg(8);
+
 void BM_ResettingTime(benchmark::State& state) {
   const TaskSet set = make_set(7, 0.7, -1.0, 2.0);
   for (auto _ : state) benchmark::DoNotOptimize(resetting_time(set, 2.0).delta_r);
@@ -304,7 +319,8 @@ BENCHMARK(BM_EventKernelThroughput);
 // End-to-end campaign throughput (generate + prepare + fused analyze per
 // item) at 1/2/4/8 workers. On a single-core host the >1 args merely
 // exercise the pool; the scaling numbers are meaningful on real multi-core
-// runners.
+// runners. Timed on the wall clock: the main thread mostly waits on the
+// workers, so its CPU time says nothing about throughput.
 void BM_CampaignAnalyze(benchmark::State& state) {
   const auto jobs = static_cast<unsigned>(state.range(0));
   constexpr std::size_t kSets = 32;
@@ -317,7 +333,13 @@ void BM_CampaignAnalyze(benchmark::State& state) {
   state.counters["sets/s"] =
       benchmark::Counter(static_cast<double>(items), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_CampaignAnalyze)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_CampaignAnalyze)
+    ->Arg(1)
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(8)
+    ->UseRealTime()
+    ->Unit(benchmark::kMillisecond);
 
 /// True for argv entries that belong to campaign mode, not google-benchmark.
 bool is_campaign_flag(const char* arg, bool* eats_value) {

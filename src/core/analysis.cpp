@@ -20,8 +20,11 @@ constexpr unsigned kSpeedupMask = 1u;
 constexpr unsigned kResetMask = 2u;
 
 /// State of the Theorem 2 ratio maximisation, advanced one DBF_HI breakpoint
-/// at a time. The update arithmetic mirrors min_speedup() operation for
-/// operation so the fused facade agrees with it bit for bit.
+/// at a time. DBF_HI is carried as a running (value, slope) pair instead of
+/// being re-summed over every task at each tick; the pair yields the same
+/// integers dbf_hi_total / dbf_hi_total_left would, so the ratios, argmax,
+/// stopping rules and counts match min_speedup() (the direct-sum reference)
+/// bit for bit.
 struct SpeedupSearch {
   bool active = false;
   double best = 0.0;
@@ -32,6 +35,10 @@ struct SpeedupSearch {
   bool exact = true;
   double error_bound = 0.0;
   std::size_t visited = 0;
+  /// DBF_HI from 0 on. The sequences built in analyze_impl carry the jumps
+  /// and slope changes; the start value is dbf_hi_total(set, 0) = 0 and the
+  /// start slope the number of ramps running just right of 0.
+  RunningDemand demand;
 
   void init(const TaskSet& set, double total_u_hi) {
     if (set.empty()) return;  // s_min = 0, settled
@@ -65,8 +72,10 @@ struct SpeedupSearch {
     active = true;
   }
 
-  /// Evaluates the ratio at breakpoint `d`; clears `active` once settled.
-  void step(const TaskSet& set, Ticks d, const AnalysisLimits& limits, bool* worked) {
+  /// Evaluates the ratio at breakpoint `p`; clears `active` once settled.
+  void step(const TaggedBreakpointMerger::Point& p, const AnalysisLimits& limits,
+            bool* worked) {
+    const Ticks d = p.tick;
     if (d == 0) return;  // handled in init()
     if (d > hyperperiod) {  // supremum settled exactly (see init)
       active = false;
@@ -79,9 +88,13 @@ struct SpeedupSearch {
       active = false;
       return;
     }
+    // The running slope counts the ramps in progress, so it is at most the
+    // number of tasks, and slope * (d - prev) is part of the left limit: no
+    // intermediate exceeds the dbf_hi_total(set, d) the re-sum held in Ticks.
+    const Ticks left = demand.advance(p);
     const double delta = static_cast<double>(d);
-    const double ratio_right = static_cast<double>(dbf_hi_total(set, d)) / delta;
-    const double ratio_left = static_cast<double>(dbf_hi_total_left(set, d)) / delta;
+    const double ratio_right = static_cast<double>(demand.value) / delta;
+    const double ratio_left = static_cast<double>(left) / delta;
     if (ratio_right > best) {
       best = ratio_right;
       argmax = d;
@@ -188,10 +201,11 @@ struct ResetSearch {
 /// Returns the number of breakpoints that did real work.
 ///
 /// This loop dominates every analysis call, so it is RBS_HOT_PATH: rbs_lint's
-/// rt pass keeps the whole reachable tree (merger, both searches, the
-/// dbf/adb totals) free of allocation, locking, I/O and throw. The merger and
-/// tagged-sequence setup stays with the caller -- building those vectors is
-/// the one-time cold part.
+/// rt pass keeps the whole reachable tree (merger, both searches, the running
+/// DBF_HI state, the adb totals) free of allocation, locking, I/O and throw.
+/// The merger and tagged-sequence setup stays with the caller -- building
+/// those vectors, with each sequence's DBF_HI jump and slope change, is the
+/// one-time cold part.
 RBS_HOT_PATH std::size_t run_fused_sweep(const TaskSet& set, TaggedBreakpointMerger& merger,
                                          SpeedupSearch& speedup, ResetSearch& reset,
                                          const AnalysisLimits& limits) {
@@ -201,7 +215,7 @@ RBS_HOT_PATH std::size_t run_fused_sweep(const TaskSet& set, TaggedBreakpointMer
     if (!point) break;
     bool worked = false;
     if (speedup.active && (point->mask & kSpeedupMask) != 0)
-      speedup.step(set, point->tick, limits, &worked);
+      speedup.step(*point, limits, &worked);
     if (reset.active && (point->mask & kResetMask) != 0)
       reset.step(set, point->tick, limits, &worked);
     if (worked) ++fused;
@@ -259,7 +273,9 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
     std::vector<TaggedSeq> seqs;
     if (speedup.active)
       for (const McTask& t : set)
-        for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back({s, kSpeedupMask});
+        append_running_seqs(
+            dbf_hi_breakpoints(t), kSpeedupMask, [&t](Ticks d) { return dbf_hi(t, d); },
+            [&t](Ticks d) { return dbf_hi_left(t, d); }, seqs, speedup.demand);
     if (reset.active)
       for (const McTask& t : set)
         for (const ArithSeq& s : adb_hi_breakpoints(t)) seqs.push_back({s, kResetMask});

@@ -10,8 +10,10 @@
 // and the Corollary 5 crossing search; ticks shared by both families are
 // fetched from the heap once instead of twice, and a settled sub-analysis
 // skips foreign ticks for free. The fused sweep therefore never visits more
-// breakpoints than the two independent walks it replaces, and its results
-// agree with `min_speedup` / `resetting_time` bit for bit (enforced by
+// breakpoints than the two independent walks it replaces. The Theorem 2 half
+// carries DBF_HI as a running (value, slope) pair instead of re-summing it
+// over every task per tick, and its results agree with the direct-sum
+// `min_speedup` / `resetting_time` bit for bit (enforced by
 // tests/core/analysis_test.cpp).
 //
 // The legacy one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,

@@ -8,6 +8,7 @@
 // even when the stopping bound is large.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <queue>
 #include <vector>
@@ -65,24 +66,33 @@ class BreakpointMerger {
 /// The fused analysis sweep (core/analysis.hpp) walks the DBF_HI and ADB_HI
 /// breakpoint families in one pass; the mask tells it which sub-analysis each
 /// merged tick belongs to, so a settled consumer skips foreign ticks for free.
+///
+/// A sequence of a demand the sweep tracks incrementally (RunningDemand) also
+/// carries what that demand does at each of its ticks past 0: the jump of the
+/// value and the change of the slope. Other sequences leave both at 0.
 struct TaggedSeq {
   ArithSeq seq;
   unsigned mask = 0;
+  Ticks jump = 0;
+  Ticks dslope = 0;
 };
 
 /// Merges tagged sequences into one strictly increasing stream; each tick is
-/// emitted once, carrying the union of the masks of every sequence hitting it.
+/// emitted once, carrying the union of the masks and the sums of the jumps
+/// and slope changes of every sequence hitting it.
 class TaggedBreakpointMerger {
  public:
   struct Point {
     Ticks tick = 0;
     unsigned mask = 0;
+    Ticks jump = 0;
+    Ticks dslope = 0;
   };
 
   explicit TaggedBreakpointMerger(const std::vector<TaggedSeq>& seqs) {
     for (const TaggedSeq& s : seqs) {
       if (s.seq.start >= kInfTicks) continue;  // sequences of dropped tasks
-      heap_.push({s.seq.start, s.seq.period, s.mask});
+      heap_.push({s.seq.start, s.seq.period, s.jump, s.dslope, s.mask});
     }
   }
 
@@ -90,13 +100,15 @@ class TaggedBreakpointMerger {
   /// Hot: one call per merged tick of the fused analysis sweep.
   std::optional<Point> next() RBS_HOT_PATH {
     if (heap_.empty()) return std::nullopt;
-    Point p{heap_.top().at, 0};
+    Point p{heap_.top().at, 0, 0, 0};
     while (!heap_.empty() && heap_.top().at == p.tick) {
       const Entry e = heap_.top();
       heap_.pop();
       p.mask |= e.mask;
+      p.jump += e.jump;
+      p.dslope += e.dslope;
       if (e.period > 0 && e.at < kInfTicks - e.period)
-        heap_.push({e.at + e.period, e.period, e.mask});
+        heap_.push({e.at + e.period, e.period, e.jump, e.dslope, e.mask});
     }
     return p;
   }
@@ -105,6 +117,8 @@ class TaggedBreakpointMerger {
   struct Entry {
     Ticks at = 0;
     Ticks period = 0;
+    Ticks jump = 0;
+    Ticks dslope = 0;
     unsigned mask = 0;
   };
   struct Later {
@@ -112,5 +126,61 @@ class TaggedBreakpointMerger {
   };
   std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
 };
+
+/// Running state of an integer function F that is linear between integer
+/// breakpoints, walked in increasing order: the left limit at the next
+/// breakpoint is the value plus the slope times the distance, and the value
+/// there adds the jump. Each step costs O(1) instead of an O(n) re-sum.
+struct RunningDemand {
+  Ticks prev = 0;   ///< last breakpoint folded in
+  Ticks value = 0;  ///< F(prev)
+  Ticks slope = 0;  ///< slope of F just right of prev
+
+  /// lim_{eps->0+} F(d - eps) for d > prev with no breakpoint in (prev, d).
+  /// For a non-negative, non-decreasing F the product is at most the left
+  /// limit itself, so it overflows only where F(d) would.
+  Ticks left_at(Ticks d) const { return value + slope * (d - prev); }
+
+  /// Folds in the merged breakpoint `p` (the next breakpoint of F after
+  /// prev) and returns F's left limit there; `value` becomes F(p.tick).
+  Ticks advance(const TaggedBreakpointMerger::Point& p) {
+    const Ticks left = left_at(p.tick);
+    prev = p.tick;
+    value = left + p.jump;
+    slope += p.dslope;
+    return left;
+  }
+};
+
+/// Adds one term f of a running sum to a sweep: appends f's breakpoint
+/// sequences `seqs` to `out`, tagged with `mask` and carrying f's jump and
+/// slope change at their ticks, and adds f's value at 0 and slope just right
+/// of 0 to `start`. Sequences with the same start are merged into one.
+///
+/// Requirements on f: integer, linear between the ticks of `seqs`, whose
+/// starts lie in [0, T) for the one period T > 0 they share, and
+/// f(x + T) = f(x) + const for x >= 0, so the jump and slope change repeat
+/// every T and are read once, at each sequence's first positive tick.
+/// `value(d)` is f(d) and `left(d)` the left limit lim_{eps->0+} f(d - eps).
+/// The walk starts from `start` at 0 and folds in every merged tick past 0.
+template <class Value, class LeftLimit>
+void append_running_seqs(const std::vector<ArithSeq>& seqs, unsigned mask, Value value,
+                         LeftLimit left, std::vector<TaggedSeq>& out, RunningDemand& start) {
+  if (seqs.empty()) return;
+  start.value += value(0);
+  start.slope += left(1) - value(0);
+  for (auto it = seqs.begin(); it != seqs.end(); ++it) {
+    const ArithSeq& s = *it;
+    const auto same_start = [&s](const ArithSeq& other) { return other.start == s.start; };
+    if (std::any_of(seqs.begin(), it, same_start)) continue;
+    const Ticks first = s.start > 0 ? s.start : s.period;  // first positive tick
+    const Ticks jump = value(first) - left(first);
+    const Ticks slope_before = left(first) - value(first - 1);
+    // The slope right of a tick repeats every T, so read it at the start,
+    // which keeps every argument at or below T.
+    const Ticks slope_after = left(s.start + 1) - value(s.start);
+    out.push_back({s, mask, jump, slope_after - slope_before});
+  }
+}
 
 }  // namespace rbs

@@ -7,12 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 #include "core/edf.hpp"
 #include "core/reset.hpp"
 #include "core/speedup.hpp"
+#include "core/dbf.hpp"
 #include "core/tuning.hpp"
 #include "gen/paper_examples.hpp"
 #include "gen/rng.hpp"
@@ -206,6 +209,69 @@ TEST(AnalysisFacadeTest, InfiniteSpeedIsFineWithoutReset) {
                    {.speedup = true, .reset = false, .lo = false})
           .value();
   EXPECT_TRUE(r.hi_schedulable);
+}
+
+TEST(AnalysisFacadeTest, AgreesOnLogUniformFig6Sets) {
+  // The certify_sweep workload's mix: the Fig. 6 generator with log-uniform
+  // periods (more breakpoints per set) at u_bound 0.50 ... 0.95.
+  Rng rng(1313);
+  int analyzed = 0;
+  for (int step = 0; step < 10; ++step) {
+    GenParams params;
+    params.u_bound = 0.50 + 0.05 * static_cast<double>(step);
+    params.log_uniform_periods = true;
+    for (int found = 0, draw = 0; found < 3 && draw < 100; ++draw) {
+      const auto skeleton = generate_task_set(params, rng);
+      if (!skeleton) continue;
+      const MinXResult mx = min_x_for_lo(*skeleton);
+      if (!mx.feasible) continue;
+      SCOPED_TRACE("u_bound " + std::to_string(params.u_bound) + ", draw " +
+                   std::to_string(draw));
+      expect_agreement(skeleton->materialize(mx.x, 2.0), 2.0);
+      ++found;
+      ++analyzed;
+    }
+  }
+  EXPECT_GE(analyzed, 20);  // the generator must not starve the test
+}
+
+TEST(AnalysisFacadeTest, HugePeriodsAgreeBitForBitNearTickLimit) {
+  // Coprime HI periods near 1e17 overflow lcm, so the hyperperiod falls back
+  // to kInfTicks and only the envelope rules or the end of the sequences
+  // (just below kInfTicks) stop the sweep. Each task's demand stays at or
+  // near U * Delta, so the envelope never settles and the walk runs through
+  // every window: the running slope * (d - prev) products span gaps of up
+  // to ~7e16 ticks and the demand reaches ~1e18, all of which must stay
+  // exact (and UB-free under the sanitizer build).
+  const Ticks t1 = 100'000'000'000'000'003;
+  const Ticks t2 = 100'000'000'000'000'007;
+  const Ticks t3 = 100'000'000'000'000'013;
+  const TaskSet set({McTask::hi("a", 30'000'000'000'000'000, 30'000'000'000'000'000,
+                                30'000'000'000'000'000, t1, t1),
+                     McTask::hi("b", 20'000'000'000'000'000, 20'000'000'000'000'000,
+                                20'000'000'000'000'000, t2, t2),
+                     McTask::hi("c", 1'000'000'000'000'000, 1'000'000'001'000'000,
+                                5'000'000'000'000'000, 90'000'000'000'000'000, t3)});
+
+  const AnalysisReport fused = Analyzer().analyze(set, 2.0, kFused).value();
+  const SpeedupResult reference = min_speedup(set);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.s_min),
+            std::bit_cast<std::uint64_t>(reference.s_min));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.s_min_error_bound),
+            std::bit_cast<std::uint64_t>(reference.error_bound));
+  EXPECT_EQ(fused.s_min_exact, reference.exact);
+  EXPECT_EQ(fused.s_min_argmax, reference.argmax);
+  EXPECT_EQ(fused.speedup_breakpoints, reference.breakpoints_visited);
+
+  // The walk really went all the way: every DBF_HI tick in (0, kInfTicks).
+  std::vector<ArithSeq> seqs;
+  for (const McTask& t : set)
+    for (const ArithSeq& s : dbf_hi_breakpoints(t)) seqs.push_back(s);
+  BreakpointMerger merger(seqs);
+  std::size_t positive_ticks = 0;
+  while (const auto d = merger.next())
+    if (*d > 0) ++positive_ticks;
+  EXPECT_EQ(fused.speedup_breakpoints, positive_ticks);
 }
 
 }  // namespace
