@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "core/adb.hpp"
@@ -59,16 +58,7 @@ struct SpeedupSearch {
     // DBF_HI(delta + T(HI)) = DBF_HI(delta) + C(HI) per task, so the total
     // demand repeats (shifted by U*H) every hyperperiod H = lcm T_i(HI); the
     // mediant inequality then confines the supremum to (0, H].
-    for (const McTask& t : set) {
-      if (t.dropped_in_hi()) continue;
-      const Ticks period = t.period(Mode::HI);
-      const Ticks gcd = std::gcd(hyperperiod, period);
-      if (hyperperiod / gcd > kInfTicks / period) {
-        hyperperiod = kInfTicks;  // overflow: fall back to the envelope rules
-        break;
-      }
-      hyperperiod = hyperperiod / gcd * period;
-    }
+    hyperperiod = dbf_hi_hyperperiod(set);
     active = true;
   }
 

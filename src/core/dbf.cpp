@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <numeric>
 
 #include "support/rt_annotations.hpp"
 
@@ -71,6 +72,18 @@ RBS_HOT_PATH Ticks dbf_hi_total_left(const TaskSet& set, Ticks delta) {
   Ticks sum = 0;
   for (const McTask& t : set) sum += dbf_hi_left(t, delta);
   return sum;
+}
+
+Ticks dbf_hi_hyperperiod(const TaskSet& set) {
+  Ticks hyperperiod = 1;
+  for (const McTask& t : set) {
+    if (t.dropped_in_hi()) continue;
+    const Ticks period = t.period(Mode::HI);
+    const Ticks gcd = std::gcd(hyperperiod, period);
+    if (hyperperiod / gcd > kInfTicks / period) return kInfTicks;
+    hyperperiod = hyperperiod / gcd * period;
+  }
+  return hyperperiod;
 }
 
 std::vector<ArithSeq> dbf_hi_breakpoints(const McTask& task) {

@@ -41,6 +41,12 @@ namespace rbs {
 /// Sum of dbf_hi_left over the whole set.
 [[nodiscard]] Ticks dbf_hi_total_left(const TaskSet& set, Ticks delta);
 
+/// H = lcm T_i(HI) over the tasks kept in HI mode; kInfTicks when it would
+/// overflow. DBF_HI(delta + H) = DBF_HI(delta) + U(HI)*H, so by the mediant
+/// inequality sup DBF_HI/delta is attained in (0, H]: the Theorem 2 sweeps
+/// stop there (with kInfTicks they fall back to their envelope rules).
+[[nodiscard]] Ticks dbf_hi_hyperperiod(const TaskSet& set);
+
 /// Breakpoint sequences of dbf_hi for one task: window starts k*T(HI), ramp
 /// starts k*T(HI)+g and ramp saturations k*T(HI)+g+C(LO), with
 /// g = D(HI)-D(LO). Empty for dropped tasks.

@@ -4,7 +4,6 @@
 #include <cassert>
 #include <cmath>
 #include <limits>
-#include <numeric>
 #include <vector>
 
 #include "core/adb.hpp"
@@ -37,18 +36,8 @@ LatencySpeedupResult min_speedup_with_latency(const TaskSet& set, Ticks latency)
   const double k = static_cast<double>(set.total_hi_wcet());
   const auto lat = static_cast<double>(latency);
 
-  // Hyperperiod stop (see speedup.cpp; the mediant argument carries over).
-  Ticks hyperperiod = 1;
-  for (const McTask& t : set) {
-    if (t.dropped_in_hi()) continue;
-    const Ticks period = t.period(Mode::HI);
-    const Ticks gcd = std::gcd(hyperperiod, period);
-    if (hyperperiod / gcd > kInfTicks / period) {
-      hyperperiod = kInfTicks;
-      break;
-    }
-    hyperperiod = hyperperiod / gcd * period;
-  }
+  // Hyperperiod stop (dbf_hi_hyperperiod; the mediant argument carries over).
+  const Ticks hyperperiod = dbf_hi_hyperperiod(set);
 
   double best = std::max(1.0, u_hi);
   Ticks argmax = 0;

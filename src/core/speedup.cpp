@@ -1,7 +1,6 @@
 #include "core/speedup.hpp"
 
 #include <limits>
-#include <numeric>
 
 #include "core/breakpoints.hpp"
 #include "core/dbf.hpp"
@@ -32,17 +31,7 @@ SpeedupResult min_speedup(const TaskSet& set, const SpeedupOptions& options) {
   // demand repeats (shifted by U*H) every hyperperiod H = lcm T_i(HI); the
   // mediant inequality then confines the supremum to (0, H] -- enumeration
   // past H would only revisit dominated ratios.
-  Ticks hyperperiod = 1;
-  for (const McTask& t : set) {
-    if (t.dropped_in_hi()) continue;
-    const Ticks period = t.period(Mode::HI);
-    const Ticks gcd = std::gcd(hyperperiod, period);
-    if (hyperperiod / gcd > kInfTicks / period) {
-      hyperperiod = kInfTicks;  // overflow: fall back to the envelope rules
-      break;
-    }
-    hyperperiod = hyperperiod / gcd * period;
-  }
+  const Ticks hyperperiod = dbf_hi_hyperperiod(set);
 
   std::vector<ArithSeq> seqs;
   for (const McTask& t : set)

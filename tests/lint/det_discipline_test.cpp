@@ -211,6 +211,19 @@ TEST(DetDisciplineTest, DeclarationSiteAnnotationReachesDefinition) {
   EXPECT_NE(lines[0].find("call to `time` in `report`"), std::string::npos);
 }
 
+TEST(DetDisciplineTest, ReasonlessEscapeOnHiddenDeclarationIsReported) {
+  // A free `f` shares the name but not the class, so the declaration's
+  // escape merges onto no definition: it is reported where it is written.
+  const auto lines = det_lines(
+      "struct A { void f() RBS_DET_ESCAPE; };\n"
+      "void f() {}\n");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("src/unit.cpp:1: error: [det-wallclock] RBS_DET_ESCAPE on `f` "
+                          "has no reason"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST(DetDisciplineTest, IndirectCallsAreTheDocumentedFallback) {
   // std::function targets cannot be resolved by name, so the walk skips
   // them: item bodies are audited at their own definition sites.

@@ -199,6 +199,19 @@ TEST(RbsLintRuleListTest, SixteenRulesWithSummaries) {
   EXPECT_EQ(all_rule_names().size(), 16u);
 }
 
+TEST(RbsLintSourceTest, SignalSafetySkipsTypeidLikeEveryControlKeyword) {
+  // `typeid(x)` is an operator, not a call: signal-safety shares the
+  // discipline walker's control-keyword set, so it is not reported as a
+  // call off the async-signal-safe allowlist.
+  const std::string text =
+      "#include <csignal>\n"
+      "void on_sig(int s) { (void)typeid(s).name; }\n"
+      "void install() { std::signal(SIGINT, on_sig); }\n";
+  Options options;
+  options.rules = {"signal-safety"};
+  EXPECT_TRUE(lint_source("src/sig.cpp", text, options).empty());
+}
+
 TEST(RbsLintSourceTest, LockDisciplineHonorsGuardScopes) {
   const std::string text =
       "#include \"support/thread_annotations.hpp\"\n"

@@ -160,6 +160,19 @@ TEST(RtDisciplineTest, DeclarationSiteAnnotationReachesDefinition) {
   EXPECT_NE(lines[0].find("constructs `deque` in `step`"), std::string::npos);
 }
 
+TEST(RtDisciplineTest, ReasonlessEscapeOnHiddenDeclarationIsReported) {
+  // A free `f` shares the name but not the class, so the declaration's
+  // escape merges onto no definition: it is reported where it is written.
+  const auto lines = rt_lines(
+      "struct A { void f() RBS_RT_ESCAPE; };\n"
+      "void f() {}\n");
+  ASSERT_EQ(lines.size(), 1u);
+  EXPECT_NE(lines[0].find("src/unit.cpp:1: error: [rt-unbounded] RBS_RT_ESCAPE on `f` "
+                          "has no reason"),
+            std::string::npos)
+      << lines[0];
+}
+
 TEST(RtDisciplineTest, DirectRecursionInHotTree) {
   const auto lines = rt_lines(
       "int down(int n) { return n <= 0 ? 0 : down(n - 1); }\n"

@@ -1,28 +1,12 @@
 #include "rbs_lint/det.hpp"
 
 #include <algorithm>
-#include <map>
 #include <set>
 #include <utility>
 
 namespace rbs::lint {
 
 namespace {
-
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
-/// Index one past the matching closer for the opener at `i`.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
-                       const char* close) {
-  int depth = 0;
-  for (; i < t.size(); ++i) {
-    if (is_punct(t[i], open)) ++depth;
-    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
-  }
-  return t.size();
-}
 
 // The unordered container templates whose iteration order is bucket-salted.
 const std::set<std::string>& unordered_types() {
@@ -71,80 +55,54 @@ const std::set<std::string>& engine_types() {
   return k;
 }
 
-const std::set<std::string>& control_keywords() {
-  static const std::set<std::string> k = {"if",       "while",   "for",      "switch",
-                                          "catch",    "sizeof",  "alignof",  "return",
-                                          "decltype", "noexcept", "typeid"};
-  return k;
+DisciplineFlags det_flags(const FunctionInfo& f) {
+  return {f.det_path, f.det_safe, f.det_escape, f.det_escape_has_reason};
+}
+DisciplineFlags det_flags(const RtDecl& d) {
+  return {d.det_path, d.det_safe, d.det_escape, d.det_escape_has_reason};
 }
 
-/// One function in the merged project-wide table.
-struct FnId {
-  std::size_t unit = 0;
-  std::size_t index = 0;  ///< into units[unit].index->functions
-};
+const Discipline kDet = {det_flags, det_flags, "RBS_DET_ESCAPE",
+                         "watchdog_deadline_never_in_output", kRuleDetWallclock, "det path"};
 
-class DetPass {
+/// Final identifier of the range expression in `for (decl : expr)`: the
+/// last identifier at paren depth 1 before the closing ')'. Returns "" when
+/// the group has no top-level ':' (an ordinary for loop).
+std::string range_for_target(const std::vector<Token>& t, std::size_t open_paren) {
+  int depth = 0;
+  bool past_colon = false;
+  std::string last;
+  for (std::size_t i = open_paren; i < t.size(); ++i) {
+    if (is_punct(t[i], "(")) { ++depth; continue; }
+    if (is_punct(t[i], ")")) {
+      if (--depth == 0) return past_colon ? last : std::string();
+      continue;
+    }
+    if (depth == 1 && is_punct(t[i], ":")) { past_colon = true; continue; }
+    if (past_colon && t[i].kind == TokKind::kIdent) last = t[i].text;
+  }
+  return {};
+}
+
+/// Identifiers declared `double x` / `float x` inside [begin, end):
+/// candidate floating-point accumulators for det-fp-reassoc.
+std::set<std::string> fp_locals(const std::vector<Token>& t, std::size_t begin,
+                                std::size_t end) {
+  std::set<std::string> out;
+  for (std::size_t i = begin; i + 1 < end; ++i)
+    if (t[i].kind == TokKind::kIdent && (t[i].text == "double" || t[i].text == "float") &&
+        t[i + 1].kind == TokKind::kIdent)
+      out.insert(t[i + 1].text);
+  return out;
+}
+
+class DetPass : public DisciplineWalker {
  public:
-  explicit DetPass(const std::vector<RtUnit>& units) : units_(units) { build_tables(); }
-
-  std::vector<Diagnostic> run() {
-    check_escape_reasons();
-    mark_roots();
-    walk();
-    std::sort(diags_.begin(), diags_.end(), [](const Diagnostic& a, const Diagnostic& b) {
-      if (a.file != b.file) return a.file < b.file;
-      if (a.line != b.line) return a.line < b.line;
-      if (a.rule != b.rule) return a.rule < b.rule;
-      return a.message < b.message;
-    });
-    return std::move(diags_);
+  explicit DetPass(const std::vector<RtUnit>& units) : DisciplineWalker(units, kDet) {
+    for (const RtUnit& unit : units) collect_unordered_names(*unit.lexed);
   }
 
  private:
-  const FunctionInfo& fn(std::size_t g) const {
-    return units_[ids_[g].unit].index->functions[ids_[g].index];
-  }
-  const std::vector<Token>& toks(std::size_t g) const {
-    return units_[ids_[g].unit].lexed->tokens;
-  }
-
-  void build_tables() {
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      const FileIndex& index = *units_[u].index;
-      for (std::size_t f = 0; f < index.functions.size(); ++f) {
-        const std::size_t g = ids_.size();
-        ids_.push_back({u, f});
-        const FunctionInfo& info = index.functions[f];
-        by_name_[info.name].push_back(g);
-        root_flag_.push_back(info.det_path);
-        safe_.push_back(info.det_safe);
-        escape_.push_back(info.det_escape);
-        escape_reason_.push_back(info.det_escape_has_reason);
-      }
-      suppressions_.push_back(allow_comments(*units_[u].lexed));
-      collect_unordered_names(*units_[u].lexed);
-    }
-    // Declaration-site annotations flow onto the matching definitions
-    // (exact (class, name) match; annotate whichever site reads better).
-    for (std::size_t u = 0; u < units_.size(); ++u) {
-      for (const RtDecl& decl : units_[u].index->rt_decls) {
-        if (!decl.det_path && !decl.det_safe && !decl.det_escape) continue;
-        auto hit = by_name_.find(decl.name);
-        if (hit == by_name_.end()) continue;
-        for (std::size_t g : hit->second) {
-          if (fn(g).class_name != decl.class_name) continue;
-          root_flag_[g] = root_flag_[g] || decl.det_path;
-          safe_[g] = safe_[g] || decl.det_safe;
-          if (decl.det_escape) {
-            escape_[g] = true;
-            escape_reason_[g] = escape_reason_[g] || decl.det_escape_has_reason;
-          }
-        }
-      }
-    }
-  }
-
   /// Records every identifier declared with an unordered container type
   /// anywhere in the unit: `std::unordered_map<K, V> index_;` records
   /// `index_`. Names are pooled across units (final-identifier matching, the
@@ -163,274 +121,130 @@ class DetPass {
     }
   }
 
-  bool suppressed(std::size_t unit, const std::string& rule, int line) const {
-    const auto& map = suppressions_[unit];
-    for (int probe : {line, line - 1}) {
-      auto it = map.find(probe);
-      if (it != map.end() && it->second.count(rule) > 0) return true;
+  /// Argument-group ranges of submit(...) calls in this body: a floating-
+  /// point accumulation inside one runs on a pool worker, so the reduction
+  /// order follows completion order, not input order.
+  void begin_body(const Body& body) override {
+    const std::vector<Token>& t = body.tokens;
+    const FunctionInfo& info = body.fn;
+    submit_ranges_.clear();
+    for (std::size_t i = info.body_begin + 1; i < info.body_end && i + 1 < t.size(); ++i)
+      if (t[i].kind == TokKind::kIdent && t[i].text == "submit" && is_punct(t[i + 1], "("))
+        submit_ranges_.emplace_back(i + 1, skip_group(t, i + 1, "(", ")"));
+    fp_vars_ = submit_ranges_.empty()
+                   ? std::set<std::string>()
+                   : fp_locals(t, info.body_begin + 1, std::min(info.body_end, t.size()));
+  }
+
+  bool in_submit(std::size_t i) const {
+    for (const auto& r : submit_ranges_)
+      if (i > r.first && i < r.second) return true;
+    return false;
+  }
+
+  bool on_token(const Body& body, std::size_t i) override {
+    const std::vector<Token>& t = body.tokens;
+    const Token& tok = t[i];
+
+    // det-fp-reassoc: `acc += ...` on a double/float local inside submit().
+    // The lexer keeps compound assignment as two tokens (`+` then `=`), so
+    // the match is op-punct followed immediately by `=`.
+    if (tok.kind == TokKind::kPunct &&
+        (tok.text == "+" || tok.text == "-" || tok.text == "*" || tok.text == "/") &&
+        i + 1 < t.size() && is_punct(t[i + 1], "=") && i > 0 &&
+        t[i - 1].kind == TokKind::kIdent && fp_vars_.count(t[i - 1].text) > 0 &&
+        in_submit(i)) {
+      report(body.unit, kRuleDetFpReassoc, tok.line,
+             "floating-point accumulation `" + t[i - 1].text + " " + tok.text +
+                 "=` inside submit(...) in " + body.where +
+                 "; pool workers reduce in completion order -- gather into "
+                 "per-item slots and reduce serially");
+      return true;
+    }
+
+    if (tok.kind != TokKind::kIdent) return false;
+
+    // det-wallclock: clock types and C time reads.
+    if (clock_idents().count(tok.text) > 0) {
+      report(body.unit, kRuleDetWallclock, tok.line,
+             "`" + tok.text + "` in " + body.where +
+                 "; wall-clock reads are not reproducible -- escape the "
+                 "function with RBS_DET_ESCAPE(reason) if the time never "
+                 "reaches the result");
+      return true;
+    }
+
+    // det-rng: ambient randomness.
+    if (tok.text == "random_device") {
+      report(body.unit, kRuleDetRng, tok.line,
+             "`random_device` in " + body.where +
+                 "; seed from the campaign's SplitMix64 per-item stream "
+                 "instead");
+      return true;
+    }
+    // Default-constructed std engine: `std::mt19937_64 e;` (no seed).
+    if (engine_types().count(tok.text) > 0 && !after_member_access(t, i)) {
+      std::size_t j = i + 1;
+      if (j < t.size() && is_punct(t[j], "<")) j = skip_group(t, j, "<", ">");
+      if (j < t.size() && t[j].kind == TokKind::kIdent) {
+        const std::size_t after_var = j + 1;
+        const bool braced = after_var < t.size() && is_punct(t[after_var], "{");
+        const bool parened = after_var < t.size() && is_punct(t[after_var], "(");
+        const bool empty_init =
+            (braced && after_var + 1 < t.size() && is_punct(t[after_var + 1], "}")) ||
+            (parened && after_var + 1 < t.size() && is_punct(t[after_var + 1], ")"));
+        if ((!braced && !parened) || empty_init)
+          report(body.unit, kRuleDetRng, t[j].line,
+                 "default-seeded `" + tok.text + "` in " + body.where +
+                     "; pass an explicit seed derived from the per-item "
+                     "stream");
+        return true;
+      }
+    }
+
+    // det-unordered-iter: range-for over an unordered-declared name. Not
+    // consumed: the group body still gets scanned token by token.
+    if (tok.text == "for" && i + 1 < t.size() && is_punct(t[i + 1], "(")) {
+      const std::string target = range_for_target(t, i + 1);
+      if (!target.empty() && unordered_names_.count(target) > 0)
+        report(body.unit, kRuleDetUnorderedIter, tok.line,
+               "range-for over unordered container `" + target + "` in " + body.where +
+                   "; bucket order is salted per process -- use an ordered "
+                   "container or iterate a deterministic sibling structure");
     }
     return false;
   }
 
-  void report(std::size_t unit, const std::string& rule, int line, std::string message) {
-    if (suppressed(unit, rule, line)) return;
-    diags_.push_back({units_[unit].path, line, rule, std::move(message)});
-  }
-
-  /// An RBS_DET_ESCAPE with no reason is malformed: report it and ignore the
-  /// escape (the body is walked like ordinary code), so a missing reason can
-  /// never silently widen the audited surface.
-  void check_escape_reasons() {
-    for (std::size_t g = 0; g < ids_.size(); ++g) {
-      if (!escape_[g]) continue;
-      if (!escape_reason_[g]) {
-        report(ids_[g].unit, kRuleDetWallclock, fn(g).line,
-               "RBS_DET_ESCAPE on `" + fn(g).name +
-                   "` has no reason; justify it like "
-                   "RBS_DET_ESCAPE(watchdog_deadline_never_in_output) -- "
-                   "annotation ignored");
-        escape_[g] = false;
-      }
+  bool on_call(const Body& body, std::size_t i, bool member) override {
+    const std::vector<Token>& t = body.tokens;
+    const Token& tok = t[i];
+    if (member && iteration_members().count(tok.text) > 0 && i >= 2 &&
+        t[i - 2].kind == TokKind::kIdent && unordered_names_.count(t[i - 2].text) > 0) {
+      report(body.unit, kRuleDetUnorderedIter, tok.line,
+             "`" + t[i - 2].text + "." + tok.text + "()` iterates an unordered "
+                 "container in " + body.where +
+                 "; bucket order is salted per process");
+      return true;
     }
-    for (std::size_t u = 0; u < units_.size(); ++u)
-      for (const RtDecl& decl : units_[u].index->rt_decls)
-        if (decl.det_escape && !decl.det_escape_has_reason &&
-            by_name_.count(decl.name) == 0)
-          report(u, kRuleDetWallclock, decl.line,
-                 "RBS_DET_ESCAPE on `" + decl.name +
-                     "` has no reason; justify it like "
-                     "RBS_DET_ESCAPE(watchdog_deadline_never_in_output) -- "
-                     "annotation ignored");
-  }
-
-  /// True when the walk must stop at `g` without scanning its body.
-  bool shielded(std::size_t g) const { return safe_[g] || escape_[g]; }
-
-  void mark_roots() {
-    root_of_.assign(ids_.size(), SIZE_MAX);
-    for (std::size_t g = 0; g < ids_.size(); ++g)
-      if (root_flag_[g] && root_of_[g] == SIZE_MAX) {
-        root_of_[g] = g;
-        queue_.push_back(g);
-      }
-  }
-
-  /// Callee candidates for a call site; identical policy to the rt pass.
-  void resolve(const std::string& name, bool member, const std::string& qualifier,
-               const std::string& caller_class, std::vector<std::size_t>* out) const {
-    out->clear();
-    auto hit = by_name_.find(name);
-    if (hit == by_name_.end()) return;
-    const std::vector<std::size_t>& all = hit->second;
-    if (!qualifier.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == qualifier) out->push_back(g);
-      return;
+    if (!member && clock_calls().count(tok.text) > 0) {
+      report(body.unit, kRuleDetWallclock, tok.line,
+             "call to `" + tok.text + "` in " + body.where +
+                 "; wall-clock reads are not reproducible");
+      return true;
     }
-    if (member) {
-      for (std::size_t g : all)
-        if (!fn(g).class_name.empty()) out->push_back(g);
-      return;
+    if (!member && rng_calls().count(tok.text) > 0) {
+      report(body.unit, kRuleDetRng, tok.line,
+             "call to `" + tok.text + "` in " + body.where +
+                 "; global-state RNG has no per-item stream -- use the "
+                 "seeded Rng the campaign hands each item");
+      return true;
     }
-    if (!caller_class.empty()) {
-      for (std::size_t g : all)
-        if (fn(g).class_name == caller_class) out->push_back(g);
-      if (!out->empty()) return;
-    }
-    for (std::size_t g : all)
-      if (fn(g).class_name.empty()) out->push_back(g);
+    return false;
   }
 
-  void walk() {
-    std::vector<std::size_t> callees;
-    while (!queue_.empty()) {
-      const std::size_t g = queue_.back();
-      queue_.pop_back();
-      if (shielded(g)) continue;  // audited leaf / justified escape
-      scan_body(g, &callees);
-    }
-  }
-
-  /// Final identifier of the range expression in `for (decl : expr)`: the
-  /// last identifier at paren depth 1 before the closing ')'. Returns "" when
-  /// the group has no top-level ':' (an ordinary for loop).
-  static std::string range_for_target(const std::vector<Token>& t, std::size_t open_paren) {
-    int depth = 0;
-    bool past_colon = false;
-    std::string last;
-    for (std::size_t i = open_paren; i < t.size(); ++i) {
-      if (is_punct(t[i], "(")) { ++depth; continue; }
-      if (is_punct(t[i], ")")) {
-        if (--depth == 0) return past_colon ? last : std::string();
-        continue;
-      }
-      if (depth == 1 && is_punct(t[i], ":")) { past_colon = true; continue; }
-      if (past_colon && t[i].kind == TokKind::kIdent) last = t[i].text;
-    }
-    return {};
-  }
-
-  /// Identifiers declared `double x` / `float x` inside [begin, end):
-  /// candidate floating-point accumulators for det-fp-reassoc.
-  static std::set<std::string> fp_locals(const std::vector<Token>& t, std::size_t begin,
-                                         std::size_t end) {
-    std::set<std::string> out;
-    for (std::size_t i = begin; i + 1 < end; ++i)
-      if (t[i].kind == TokKind::kIdent && (t[i].text == "double" || t[i].text == "float") &&
-          t[i + 1].kind == TokKind::kIdent)
-        out.insert(t[i + 1].text);
-    return out;
-  }
-
-  void scan_body(std::size_t g, std::vector<std::size_t>* callees) {
-    const std::vector<Token>& t = toks(g);
-    const FunctionInfo& info = fn(g);
-    const std::size_t unit = ids_[g].unit;
-    const std::string& root = fn(root_of_[g]).name;
-    const std::string where =
-        "`" + info.name + "`, reachable from det path `" + root + "`";
-
-    // Argument-group ranges of submit(...) calls in this body: a floating-
-    // point accumulation inside one runs on a pool worker, so the reduction
-    // order follows completion order, not input order.
-    std::vector<std::pair<std::size_t, std::size_t>> submit_ranges;
-    for (std::size_t i = info.body_begin + 1; i < info.body_end && i + 1 < t.size(); ++i)
-      if (t[i].kind == TokKind::kIdent && t[i].text == "submit" && is_punct(t[i + 1], "("))
-        submit_ranges.emplace_back(i + 1, skip_group(t, i + 1, "(", ")"));
-    const std::set<std::string> fp_vars =
-        submit_ranges.empty()
-            ? std::set<std::string>()
-            : fp_locals(t, info.body_begin + 1, std::min(info.body_end, t.size()));
-    const auto in_submit = [&submit_ranges](std::size_t i) {
-      for (const auto& r : submit_ranges)
-        if (i > r.first && i < r.second) return true;
-      return false;
-    };
-
-    for (std::size_t i = info.body_begin + 1;
-         i < info.body_end && i < t.size(); ++i) {
-      const Token& tok = t[i];
-
-      // det-fp-reassoc: `acc += ...` on a double/float local inside submit().
-      // The lexer keeps compound assignment as two tokens (`+` then `=`), so
-      // the match is op-punct followed immediately by `=`.
-      if (tok.kind == TokKind::kPunct &&
-          (tok.text == "+" || tok.text == "-" || tok.text == "*" || tok.text == "/") &&
-          i + 1 < t.size() && is_punct(t[i + 1], "=") && i > 0 &&
-          t[i - 1].kind == TokKind::kIdent && fp_vars.count(t[i - 1].text) > 0 &&
-          in_submit(i)) {
-        report(unit, kRuleDetFpReassoc, tok.line,
-               "floating-point accumulation `" + t[i - 1].text + " " + tok.text +
-                   "=` inside submit(...) in " + where +
-                   "; pool workers reduce in completion order -- gather into "
-                   "per-item slots and reduce serially");
-        continue;
-      }
-
-      if (tok.kind != TokKind::kIdent) continue;
-
-      // det-wallclock: clock types and C time reads.
-      if (clock_idents().count(tok.text) > 0) {
-        report(unit, kRuleDetWallclock, tok.line,
-               "`" + tok.text + "` in " + where +
-                   "; wall-clock reads are not reproducible -- escape the "
-                   "function with RBS_DET_ESCAPE(reason) if the time never "
-                   "reaches the result");
-        continue;
-      }
-
-      // det-rng: ambient randomness.
-      if (tok.text == "random_device") {
-        report(unit, kRuleDetRng, tok.line,
-               "`random_device` in " + where +
-                   "; seed from the campaign's SplitMix64 per-item stream "
-                   "instead");
-        continue;
-      }
-      // Default-constructed std engine: `std::mt19937_64 e;` (no seed).
-      if (engine_types().count(tok.text) > 0 &&
-          !(i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->")))) {
-        std::size_t j = i + 1;
-        if (j < t.size() && is_punct(t[j], "<")) j = skip_group(t, j, "<", ">");
-        if (j < t.size() && t[j].kind == TokKind::kIdent) {
-          const std::size_t after_var = j + 1;
-          const bool braced = after_var < t.size() && is_punct(t[after_var], "{");
-          const bool parened = after_var < t.size() && is_punct(t[after_var], "(");
-          const bool empty_init =
-              (braced && after_var + 1 < t.size() && is_punct(t[after_var + 1], "}")) ||
-              (parened && after_var + 1 < t.size() && is_punct(t[after_var + 1], ")"));
-          if ((!braced && !parened) || empty_init)
-            report(unit, kRuleDetRng, t[j].line,
-                   "default-seeded `" + tok.text + "` in " + where +
-                       "; pass an explicit seed derived from the per-item "
-                       "stream");
-          continue;
-        }
-      }
-
-      // det-unordered-iter: range-for over an unordered-declared name.
-      if (tok.text == "for" && i + 1 < t.size() && is_punct(t[i + 1], "(")) {
-        const std::string target = range_for_target(t, i + 1);
-        if (!target.empty() && unordered_names_.count(target) > 0)
-          report(unit, kRuleDetUnorderedIter, tok.line,
-                 "range-for over unordered container `" + target + "` in " + where +
-                     "; bucket order is salted per process -- use an ordered "
-                     "container or iterate a deterministic sibling structure");
-        // fall through: the group body still gets scanned token by token
-      }
-
-      // Calls (including .begin() on unordered names).
-      if (i + 1 >= t.size() || !is_punct(t[i + 1], "(")) continue;
-      if (control_keywords().count(tok.text) > 0) continue;
-      const bool member = i > 0 && (is_punct(t[i - 1], ".") || is_punct(t[i - 1], "->"));
-      std::string qualifier;
-      if (!member && i >= 2 && is_punct(t[i - 1], "::") && t[i - 2].kind == TokKind::kIdent)
-        qualifier = t[i - 2].text;
-
-      if (member && iteration_members().count(tok.text) > 0 && i >= 2 &&
-          t[i - 2].kind == TokKind::kIdent && unordered_names_.count(t[i - 2].text) > 0) {
-        report(unit, kRuleDetUnorderedIter, tok.line,
-               "`" + t[i - 2].text + "." + tok.text + "()` iterates an unordered "
-                   "container in " + where +
-                   "; bucket order is salted per process");
-        continue;
-      }
-      if (!member && clock_calls().count(tok.text) > 0) {
-        report(unit, kRuleDetWallclock, tok.line,
-               "call to `" + tok.text + "` in " + where +
-                   "; wall-clock reads are not reproducible");
-        continue;
-      }
-      if (!member && rng_calls().count(tok.text) > 0) {
-        report(unit, kRuleDetRng, tok.line,
-               "call to `" + tok.text + "` in " + where +
-                   "; global-state RNG has no per-item stream -- use the "
-                   "seeded Rng the campaign hands each item");
-        continue;
-      }
-
-      resolve(tok.text, member, qualifier, info.class_name, callees);
-      for (std::size_t callee : *callees) {
-        if (shielded(callee)) continue;
-        if (root_of_[callee] == SIZE_MAX) {
-          root_of_[callee] = root_of_[g];
-          queue_.push_back(callee);
-        }
-      }
-      // Unresolved callees (std internals, function pointers, std::function
-      // targets) are skipped: the documented conservative fallback.
-    }
-  }
-
-  const std::vector<RtUnit>& units_;
-  std::vector<FnId> ids_;
-  std::map<std::string, std::vector<std::size_t>> by_name_;
-  std::vector<std::uint8_t> root_flag_, safe_, escape_, escape_reason_;
-  std::vector<std::map<int, std::set<std::string>>> suppressions_;
   std::set<std::string> unordered_names_;  ///< pooled across units by final identifier
-  std::vector<std::size_t> root_of_;  ///< SIZE_MAX = unreached; else root fn id
-  std::vector<std::size_t> queue_;
-  std::vector<Diagnostic> diags_;
+  std::vector<std::pair<std::size_t, std::size_t>> submit_ranges_;  ///< of the current body
+  std::set<std::string> fp_vars_;                                   ///< of the current body
 };
 
 }  // namespace

@@ -2,7 +2,7 @@
 //
 // A breadth-first reachability walk over the whole-project call graph rooted
 // at functions annotated RBS_DET_PATH (src/support/det_annotations.hpp) --
-// the same merged-unit machinery as the rt pass (rt.cpp), retargeted from
+// the same discipline walker as the rt pass (discipline.hpp), retargeted from
 // "must not allocate or block" to "every result byte must be reproducible
 // across runs, machines and --jobs counts". Every function reachable from a
 // det root must stay free of:
@@ -31,13 +31,11 @@
 //                       (`out[i] = ...`) and reduce serially instead.
 //
 // Escape hatches: RBS_DET_SAFE (audited leaf) and RBS_DET_ESCAPE(reason)
-// stop the walk at that function -- it is neither scanned nor descended
-// into. Annotations are honored at definition sites and at declaration sites
-// (`void arm() RBS_DET_ESCAPE(watchdog_deadline_never_in_output);`), matched
-// by (class, name). A reason-less escape is reported (under det-wallclock)
-// and ignored, so it can never silently widen the audited surface.
+// stop the walk at that function; a reason-less escape is reported under
+// det-wallclock and ignored. Annotation merging, suppressions, call
+// resolution and the walk itself are the shared discipline walker's
+// (discipline.hpp); this pass supplies only its token rules.
 //
-// Call resolution is the rt pass's: name-based and conservative (see rt.hpp).
 // Unordered-declared names are collected across ALL units by final
 // identifier, mirroring the mutex-identity approximation: `index_` declared
 // unordered in one header flags iteration of `index_` on any det path.
@@ -45,11 +43,10 @@
 // core/sim targets, asserted by CI over compile_commands.json.
 #pragma once
 
-#include <string>
 #include <vector>
 
+#include "rbs_lint/discipline.hpp"
 #include "rbs_lint/lint.hpp"
-#include "rbs_lint/rt.hpp"
 
 namespace rbs::lint {
 
@@ -59,7 +56,7 @@ constexpr const char* kRuleDetRng = "det-rng";
 constexpr const char* kRuleDetFpReassoc = "det-fp-reassoc";
 
 /// Runs the determinism walk over every unit at once (the project-wide call
-/// graph); units are the same lexed + indexed translation units the rt pass
+/// graph); units are the same lexed + indexed translation units rt_check
 /// consumes. Diagnostics honor `// rbs-lint: allow(...)` comments; the caller
 /// applies rule enabling and baselines. Sorted by (file, line, rule, message).
 std::vector<Diagnostic> det_check(const std::vector<RtUnit>& units);

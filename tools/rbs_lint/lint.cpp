@@ -487,9 +487,6 @@ class Checker {
         "_exit", "_Exit", "abort", "raise", "kill", "signal", "sigaction",
         "sigemptyset", "sigfillset", "sigaddset", "sigdelset", "sigprocmask",
         "write", "read", "close", "fsync"};
-    static const std::set<std::string> kControl = {"if",     "while",  "for",   "switch",
-                                                   "catch",  "sizeof", "alignof", "return",
-                                                   "decltype", "noexcept"};
     for (const auto& [f, handler] : root_of) {
       const FunctionInfo& fn = index_.functions[f];
       for (std::size_t i = fn.body_begin + 1; i < fn.body_end; ++i) {
@@ -502,7 +499,7 @@ class Checker {
           continue;
         }
         if (!is_punct_at(i + 1, "(")) continue;
-        if (kControl.count(tok.text) > 0) continue;
+        if (control_keywords().count(tok.text) > 0) continue;
         const bool member = i > 0 && (is_punct_at(i - 1, ".") || is_punct_at(i - 1, "->"));
         if (member) {
           if (kMemberAllow.count(tok.text) == 0)

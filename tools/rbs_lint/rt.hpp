@@ -18,38 +18,23 @@
 //                 RBS_RT_ESCAPE annotations missing their mandatory reason.
 //
 // Escape hatches: RBS_RT_SAFE (audited leaf) and RBS_RT_ESCAPE(reason) stop
-// the walk at that function -- it is neither scanned nor descended into.
-// Annotations are honored at definition sites and at declaration sites
-// (`void step() RBS_HOT_PATH;` in a class body), matched by (class, name).
-//
-// Call resolution is name-based and conservative, sharing the signal-safety
-// rule's philosophy: unqualified calls prefer a same-class member, then free
-// functions; member calls descend into every indexed member function of that
-// name; unresolved callees (std internals, function pointers, std::function
-// targets) are skipped -- the documented fallback, see
-// docs/static-analysis.md "Real-time discipline".
+// the walk at that function; a reason-less escape is reported under
+// rt-unbounded and ignored. Annotation merging, suppressions, call resolution
+// and the walk itself are the shared discipline walker's (discipline.hpp);
+// this pass supplies only its token rules and, on top of the walk, the
+// recursion check over the walker's confident call edges.
 #pragma once
 
-#include <string>
 #include <vector>
 
+#include "rbs_lint/discipline.hpp"
 #include "rbs_lint/lint.hpp"
-#include "rbs_lint/semantic.hpp"
-#include "rbs_lint/token.hpp"
 
 namespace rbs::lint {
 
 constexpr const char* kRuleRtAlloc = "rt-alloc";
 constexpr const char* kRuleRtBlock = "rt-block";
 constexpr const char* kRuleRtUnbounded = "rt-unbounded";
-
-/// One lexed + indexed translation unit handed to the project-wide pass.
-/// The pointees must outlive the rt_check call.
-struct RtUnit {
-  std::string path;
-  const Lexed* lexed = nullptr;
-  const FileIndex* index = nullptr;
-};
 
 /// Runs the discipline walk over every unit at once (the project-wide call
 /// graph). Diagnostics honor `// rbs-lint: allow(...)` comments; the caller

@@ -7,28 +7,12 @@ namespace rbs::lint {
 
 namespace {
 
-bool is_punct(const Token& t, const char* s) {
-  return t.kind == TokKind::kPunct && t.text == s;
-}
-
 bool is_kw(const std::string& s) {
   static const std::set<std::string> kKeywords = {
       "if",     "while",  "for",      "switch", "catch",  "sizeof", "alignof",
       "return", "typeid", "decltype", "else",   "do",     "try",    "co_await",
       "co_return", "co_yield", "new",  "delete", "throw",  "noexcept"};
   return kKeywords.count(s) > 0;
-}
-
-/// Index one past the matching closer for the opener at `i` ('(' / '<' / '[');
-/// tokens.size() when unbalanced.
-std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
-                       const char* close) {
-  int depth = 0;
-  for (; i < t.size(); ++i) {
-    if (is_punct(t[i], open)) ++depth;
-    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
-  }
-  return t.size();
 }
 
 /// Final identifiers of each top-level comma-separated argument in the paren

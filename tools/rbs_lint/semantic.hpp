@@ -52,14 +52,14 @@ struct FunctionInfo {
   bool no_analysis = false;  ///< RBS_NO_THREAD_SAFETY_ANALYSIS on the definition
 
   // Real-time discipline flags (support/rt_annotations.hpp), read from the
-  // definition site; rt.cpp merges in declaration-site annotations too.
+  // definition site; discipline.cpp merges in declaration-site annotations.
   bool hot_path = false;   ///< RBS_HOT_PATH: a root of the rt reachability walk
   bool rt_safe = false;    ///< RBS_RT_SAFE: audited leaf, not scanned or descended
   bool rt_escape = false;  ///< RBS_RT_ESCAPE(reason): justified exception
   bool rt_escape_has_reason = false;  ///< the escape carried a non-empty reason
 
   // Determinism discipline flags (support/det_annotations.hpp), harvested the
-  // same way; det.cpp merges in declaration-site annotations too.
+  // same way; discipline.cpp merges in declaration-site annotations.
   bool det_path = false;   ///< RBS_DET_PATH: a root of the det reachability walk
   bool det_safe = false;   ///< RBS_DET_SAFE: audited leaf, not scanned or descended
   bool det_escape = false; ///< RBS_DET_ESCAPE(reason): justified exception
@@ -67,8 +67,9 @@ struct FunctionInfo {
 };
 
 /// A function *declaration* (no body) carrying rt or det annotations, e.g.
-/// `void step() RBS_HOT_PATH;` in a class or header. rt.cpp and det.cpp match
-/// these to definitions by (class, name) so annotating either site is enough.
+/// `void step() RBS_HOT_PATH;` in a class or header. The discipline walker
+/// (discipline.cpp) matches these to definitions by (class, name) so
+/// annotating either site is enough.
 struct RtDecl {
   std::string class_name;  ///< enclosing class or out-of-line qualifier; "" for free
   std::string name;

@@ -260,4 +260,18 @@ std::map<int, std::set<std::string>> allow_comments(const Lexed& lexed) {
   return allowed;
 }
 
+bool is_punct(const Token& t, const char* s) {
+  return t.kind == TokKind::kPunct && t.text == s;
+}
+
+std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
+                       const char* close) {
+  int depth = 0;
+  for (; i < t.size(); ++i) {
+    if (is_punct(t[i], open)) ++depth;
+    else if (is_punct(t[i], close) && --depth == 0) return i + 1;
+  }
+  return t.size();
+}
+
 }  // namespace rbs::lint

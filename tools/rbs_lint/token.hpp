@@ -9,6 +9,7 @@
 // token stream definition.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <set>
 #include <string>
@@ -35,7 +36,15 @@ Lexed lex(const std::string& text);
 
 /// Parsed `// rbs-lint: allow(rule, ...)` comments: line -> suppressed rule
 /// names. Shared by the per-file rule engine (lint.cpp) and the project-wide
-/// rt pass (rt.cpp), which must honor the same suppression syntax.
+/// discipline walker (discipline.cpp), which must honor the same syntax.
 std::map<int, std::set<std::string>> allow_comments(const Lexed& lexed);
+
+/// True when `t` is the punctuator `s`.
+bool is_punct(const Token& t, const char* s);
+
+/// Index one past the matching closer for the opener at `i` ('(' / '<' / '[');
+/// tokens.size() when unbalanced.
+std::size_t skip_group(const std::vector<Token>& t, std::size_t i, const char* open,
+                       const char* close);
 
 }  // namespace rbs::lint
