@@ -28,7 +28,9 @@
 // small throughput summary.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <iostream>
@@ -243,6 +245,28 @@ void BM_FusedAnalyze(benchmark::State& state) {
 }
 BENCHMARK(BM_FusedAnalyze);
 
+// The tagged breakpoint merger alone: N sequences with task-like periods
+// (20..20000 ticks) and starts inside their first period, 4096 merged ticks
+// per iteration; items/s is merged ticks per second.
+void BM_TaggedMerger(benchmark::State& state) {
+  const auto n = static_cast<std::size_t>(state.range(0));
+  Rng rng(n);
+  std::vector<TaggedSeq> seqs;
+  for (std::size_t i = 0; i < n; ++i) {
+    const Ticks period = rng.uniform_int(20, 20000);
+    seqs.push_back({{rng.uniform_int(0, period - 1), period}, 1u, 1, 0});
+  }
+  constexpr int kTicks = 4096;
+  for (auto _ : state) {
+    TaggedBreakpointMerger merger(seqs);
+    Ticks sum = 0;
+    for (int i = 0; i < kTicks; ++i) sum += merger.next()->jump;
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(state.iterations() * kTicks);
+}
+BENCHMARK(BM_TaggedMerger)->Arg(8)->Arg(32)->Arg(128);
+
 void BM_LoModeForwardSweep(benchmark::State& state) {
   const TaskSet set = make_set(21, 0.9, 0.4, 2.0);  // constrained deadlines
   for (auto _ : state) benchmark::DoNotOptimize(lo_mode_test(set).schedulable);
@@ -254,6 +278,58 @@ void BM_LoModeQpa(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(qpa_lo_test(set).schedulable);
 }
 BENCHMARK(BM_LoModeQpa);
+
+/// `skeleton` with every period moved to the nearest divisor of 10.08 s
+/// (100800 ticks) in [20, 20000], utilizations kept: the period layout of
+/// perfbench's multicore_resilience. Freely drawn periods leave some probe
+/// sets whose Theorem 2 sweep runs for seconds, and one such sweep would be
+/// all an iteration measured.
+ImplicitSet snap_to_divisors(const ImplicitSet& skeleton) {
+  std::vector<Ticks> menu;
+  for (Ticks d = 20; d <= 20000; ++d)
+    if (100800 % d == 0) menu.push_back(d);
+  std::vector<ImplicitTask> tasks;
+  for (ImplicitTask task : skeleton.tasks()) {
+    const auto above = std::lower_bound(menu.begin(), menu.end(), task.period);
+    Ticks snapped = above == menu.end() ? menu.back() : *above;
+    if (above != menu.begin() &&
+        (above == menu.end() || task.period - above[-1] < *above - task.period))
+      snapped = above[-1];
+    const double u_lo = task.u_lo(), u_hi = task.u_hi();
+    task.period = snapped;
+    task.c_lo = std::max<Ticks>(1, std::llround(u_lo * static_cast<double>(snapped)));
+    task.c_hi = std::max(task.c_lo, static_cast<Ticks>(
+                                        std::llround(u_hi * static_cast<double>(snapped))));
+    tasks.push_back(std::move(task));
+  }
+  return ImplicitSet(std::move(tasks));
+}
+
+// First-fit decreasing onto N cores (uniform 2x budget) of a system built
+// like multicore_resilience's: one u = 0.35 workload per core with periods
+// snapped to divisors of 10.08 s, concatenated.
+void BM_PartitionFirstFit(benchmark::State& state) {
+  const auto cores = static_cast<std::size_t>(state.range(0));
+  Rng rng(cores);
+  std::vector<McTask> tasks;
+  for (std::size_t c = 0; c < cores; ++c) {
+    GenParams params;
+    params.u_bound = 0.35;
+    const auto skeleton = bench::generate_with_retry(params, rng);
+    const auto set = skeleton ? bench::materialize_min_x(snap_to_divisors(*skeleton), 2.0,
+                                                         bench::XPolicy::kUtilization)
+                              : std::nullopt;
+    if (!set) throw std::runtime_error("could not generate benchmark system");
+    tasks.insert(tasks.end(), set->begin(), set->end());
+  }
+  const TaskSet system(std::move(tasks));
+  PartitionOptions options;
+  options.hi_speedup = 2.0;
+  for (auto _ : state)
+    benchmark::DoNotOptimize(partition_first_fit(system, cores, options).feasible);
+  state.SetLabel(std::to_string(system.size()) + " tasks");
+}
+BENCHMARK(BM_PartitionFirstFit)->Arg(4)->Arg(8)->Unit(benchmark::kMicrosecond);
 
 void BM_MinXSearch(benchmark::State& state) {
   Rng rng(11);

@@ -5,12 +5,14 @@
 // (window starts k*T, ramp starts k*T + g, ramp ends k*T + g + C(LO)). The
 // pseudo-polynomial algorithms of Sections III/IV walk these breakpoints in
 // increasing order without materialising them, which keeps memory O(#tasks)
-// even when the stopping bound is large.
+// even when the stopping bound is large. Both mergers below sit on one flat
+// binary heap of sequences (SeqHeap), sized at construction, where emitting
+// a sequence's tick and moving it to its next one is a single sift-down.
 #pragma once
 
 #include <algorithm>
+#include <cstddef>
 #include <optional>
-#include <queue>
 #include <vector>
 
 #include "core/types.hpp"
@@ -25,29 +27,76 @@ struct ArithSeq {
   Ticks period = 0;
 };
 
+/// A binary min-heap of arithmetic sequences keyed on each one's next tick
+/// `at`, flat in one vector sized at construction. `Entry` carries at least
+/// `at` and `period`; a merger reads the top, then advances it in place with
+/// advance_top(): one sift-down per tick where a pop and a push cost two.
+/// A sequence is dropped once its next tick would reach kInfTicks (or at
+/// once for a singleton, period 0). Ties on `at` leave no defined order.
+template <class Entry>
+class SeqHeap {
+ public:
+  /// Takes every entry with at < kInfTicks (sequences of dropped tasks
+  /// start there) and heapifies them; the only allocation of the heap.
+  template <class Seqs, class MakeEntry>
+  SeqHeap(const Seqs& seqs, MakeEntry make) {
+    heap_.reserve(seqs.size());
+    for (const auto& s : seqs) {
+      const Entry e = make(s);
+      if (e.at < kInfTicks) heap_.push_back(e);
+    }
+    size_ = heap_.size();
+    for (std::size_t i = size_ / 2; i-- > 0;) sift_down(i);
+  }
+
+  bool empty() const { return size_ == 0; }
+  const Entry& top() const { return heap_[0]; }
+
+  /// Moves the top sequence to its next tick, or drops it when exhausted.
+  void advance_top() {
+    Entry& e = heap_[0];
+    if (e.period > 0 && e.at < kInfTicks - e.period) {
+      e.at += e.period;
+    } else {
+      heap_[0] = heap_[--size_];
+      if (size_ == 0) return;
+    }
+    sift_down(0);
+  }
+
+ private:
+  void sift_down(std::size_t hole) {
+    const Entry moving = heap_[hole];
+    for (std::size_t child = 2 * hole + 1; child < size_; child = 2 * hole + 1) {
+      if (child + 1 < size_ && heap_[child + 1].at < heap_[child].at) ++child;
+      if (!(heap_[child].at < moving.at)) break;
+      heap_[hole] = heap_[child];
+      hole = child;
+    }
+    heap_[hole] = moving;
+  }
+
+  std::vector<Entry> heap_;  // [0, size_) is the heap; the tail is dead
+  std::size_t size_ = 0;
+};
+
 /// Merges several arithmetic sequences into one strictly increasing stream.
 class BreakpointMerger {
  public:
-  explicit BreakpointMerger(const std::vector<ArithSeq>& seqs) {
-    for (const ArithSeq& s : seqs) {
-      if (s.start >= kInfTicks) continue;  // sequences of dropped tasks
-      heap_.push(s);
-    }
-  }
+  explicit BreakpointMerger(const std::vector<ArithSeq>& seqs)
+      : heap_(seqs, [](const ArithSeq& s) { return Entry{s.start, s.period}; }) {}
 
   /// Next breakpoint strictly greater than all previously returned ones, or
   /// nullopt when all sequences are exhausted (only possible with singletons).
-  /// Hot: called once per breakpoint of every pseudo-polynomial walk. The
-  /// heap was sized at construction; pop-then-push never reallocates.
+  /// Hot: called once per breakpoint of every pseudo-polynomial walk; the
+  /// heap was sized at construction and never reallocates.
   std::optional<Ticks> next() RBS_HOT_PATH {
     while (!heap_.empty()) {
-      ArithSeq top = heap_.top();
-      heap_.pop();
-      if (top.period > 0 && top.start < kInfTicks - top.period)
-        heap_.push({top.start + top.period, top.period});
-      if (top.start > last_) {
-        last_ = top.start;
-        return top.start;
+      const Ticks at = heap_.top().at;
+      heap_.advance_top();
+      if (at > last_) {
+        last_ = at;
+        return at;
       }
       // duplicate of an already-emitted point: skip
     }
@@ -55,10 +104,11 @@ class BreakpointMerger {
   }
 
  private:
-  struct Later {
-    bool operator()(const ArithSeq& a, const ArithSeq& b) const { return a.start > b.start; }
+  struct Entry {
+    Ticks at = 0;
+    Ticks period = 0;
   };
-  std::priority_queue<ArithSeq, std::vector<ArithSeq>, Later> heap_;
+  SeqHeap<Entry> heap_;
   Ticks last_ = -1;  // breakpoints are non-negative
 };
 
@@ -89,26 +139,23 @@ class TaggedBreakpointMerger {
     Ticks dslope = 0;
   };
 
-  explicit TaggedBreakpointMerger(const std::vector<TaggedSeq>& seqs) {
-    for (const TaggedSeq& s : seqs) {
-      if (s.seq.start >= kInfTicks) continue;  // sequences of dropped tasks
-      heap_.push({s.seq.start, s.seq.period, s.jump, s.dslope, s.mask});
-    }
-  }
+  explicit TaggedBreakpointMerger(const std::vector<TaggedSeq>& seqs)
+      : heap_(seqs, [](const TaggedSeq& s) {
+          return Entry{s.seq.start, s.seq.period, s.jump, s.dslope, s.mask};
+        }) {}
 
   /// Next merged breakpoint, or nullopt when every sequence is exhausted.
-  /// Hot: one call per merged tick of the fused analysis sweep.
+  /// Hot: one call per merged tick of the fused analysis sweep and of the
+  /// LO-mode demand walk; each sequence on the tick costs one sift-down.
   std::optional<Point> next() RBS_HOT_PATH {
     if (heap_.empty()) return std::nullopt;
     Point p{heap_.top().at, 0, 0, 0};
     while (!heap_.empty() && heap_.top().at == p.tick) {
-      const Entry e = heap_.top();
-      heap_.pop();
+      const Entry& e = heap_.top();
       p.mask |= e.mask;
       p.jump += e.jump;
       p.dslope += e.dslope;
-      if (e.period > 0 && e.at < kInfTicks - e.period)
-        heap_.push({e.at + e.period, e.period, e.jump, e.dslope, e.mask});
+      heap_.advance_top();
     }
     return p;
   }
@@ -121,10 +168,7 @@ class TaggedBreakpointMerger {
     Ticks dslope = 0;
     unsigned mask = 0;
   };
-  struct Later {
-    bool operator()(const Entry& a, const Entry& b) const { return a.at > b.at; }
-  };
-  std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  SeqHeap<Entry> heap_;
 };
 
 /// Running state of an integer function F that is linear between integer

@@ -2,9 +2,43 @@
 
 #include "core/breakpoints.hpp"
 #include "core/dbf.hpp"
+#include "support/rt_annotations.hpp"
 #include "support/tolerance.hpp"
 
 namespace rbs {
+
+namespace {
+
+/// The processor-demand walk up to `delta_max`: visits every merged DBF_LO
+/// tick in increasing order, compares the running demand with the supply
+/// there and records the verdict in `result`. The running sum equals
+/// dbf_lo_total at every visited tick (ticks at or past kInfTicks are never
+/// reached), so the verdict and the counts are those of a per-tick re-sum.
+///
+/// RBS_HOT_PATH: every partition probe and LO-mode verdict runs it, so rt
+/// lint keeps it and the merger's next() free of allocation.
+RBS_HOT_PATH void walk_lo_demand(TaggedBreakpointMerger& merger, const EdfTestOptions& options,
+                                 Ticks delta_max, EdfTestResult& result) {
+  const long double speed = options.speed;
+  Ticks demand = 0;
+  while (auto p = merger.next()) {
+    if (p->tick > delta_max) break;
+    if (++result.breakpoints_visited > options.max_breakpoints) {
+      result.schedulable = false;
+      result.conclusive = false;
+      return;
+    }
+    demand += p->jump;
+    if (static_cast<long double>(demand) > speed * static_cast<long double>(p->tick)) {
+      result.schedulable = false;
+      result.violation_delta = p->tick;
+      return;
+    }
+  }
+  result.schedulable = true;
+}
+
+}  // namespace
 
 EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
   EdfTestResult result;
@@ -48,28 +82,13 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
     delta_max = kInfTicks - 1;
   }
 
-  std::vector<ArithSeq> seqs;
+  // DBF_LO jumps by C(LO) at every tick of its sequence and is flat between
+  // them, so the walk carries the total as a running sum.
+  std::vector<TaggedSeq> seqs;
   seqs.reserve(set.size());
-  for (const McTask& t : set) seqs.push_back(dbf_lo_breakpoints(t));
-  BreakpointMerger merger(seqs);
-
-  while (auto d = merger.next()) {
-    if (*d > delta_max) break;
-    if (++result.breakpoints_visited > options.max_breakpoints) {
-      result.schedulable = false;
-      result.conclusive = false;
-      return result;
-    }
-    const Ticks demand = dbf_lo_total(set, *d);
-    const long double supply =
-        static_cast<long double>(options.speed) * static_cast<long double>(*d);
-    if (static_cast<long double>(demand) > supply) {
-      result.schedulable = false;
-      result.violation_delta = *d;
-      return result;
-    }
-  }
-  result.schedulable = true;
+  for (const McTask& t : set) seqs.push_back({dbf_lo_breakpoints(t), 0u, t.wcet(Mode::LO)});
+  TaggedBreakpointMerger merger(seqs);
+  walk_lo_demand(merger, options, delta_max, result);
   return result;
 }
 

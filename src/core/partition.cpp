@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
+#include <optional>
 #include <tuple>
 
 #include "core/analysis.hpp"
@@ -25,24 +27,31 @@ TieKey tie_key(const McTask& task) {
           task.period(Mode::LO),  task.period(Mode::HI)};
 }
 
-// Feasibility of one core's task collection under the core's budgets: one
-// fused Analyzer call answers LO-mode, HI-mode and resetting time together.
+// Feasibility of one core's task collection under the core's budgets,
+// verdict first: the LO-mode test alone, then -- only if it passes -- the
+// speedup part (plus the reset part under a finite reset budget) at the
+// budget speed. A probe the LO test rejects, often at once on U(LO) > 1,
+// never pays for a Theorem 2 sweep. Returns the accepted report (its s_min,
+// and its delta_r when the reset part ran), nullopt when the core rejects.
 // Acceptance is tolerance-routed: the facade's own hi_schedulable flag uses
 // an exact s_min <= speed comparison, so a set sitting exactly on the budget
 // must be re-judged here with approx_le or rounding noise would flip it.
-bool core_feasible(const std::vector<McTask>& tasks, const CoreBudget& budget) {
+std::optional<AnalysisReport> core_feasible(const std::vector<McTask>& tasks,
+                                            const CoreBudget& budget) {
   AnalysisRequest request;
   request.set = TaskSet(tasks);
   request.speed = budget.hi_speedup;
-  request.parts.reset = std::isfinite(budget.max_reset);
+  request.parts = {.speedup = false, .reset = false, .lo = true};
+  const Expected<AnalysisReport> lo = analyze(request);
+  if (!lo || !lo->lo_schedulable) return std::nullopt;
+  request.parts = {.speedup = true, .reset = std::isfinite(budget.max_reset), .lo = false};
   const Expected<AnalysisReport> report = analyze(request);
-  if (!report) return false;
-  if (!report->lo_schedulable) return false;
-  if (!approx_le(report->s_min, budget.hi_speedup, kSpeedTol)) return false;
+  if (!report) return std::nullopt;
+  if (!approx_le(report->s_min, budget.hi_speedup, kSpeedTol)) return std::nullopt;
   if (std::isfinite(budget.max_reset) &&
       definitely_gt(report->delta_r, budget.max_reset, kTimeTol))
-    return false;
-  return true;
+    return std::nullopt;
+  return report.value();
 }
 
 }  // namespace
@@ -78,11 +87,16 @@ PartitionResult partition_first_fit(const TaskSet& set, std::size_t cores,
     });
   }
 
+  // The report of each core's last accepted probe: its set is the core's
+  // final set, so its s_min (and delta_r, when the probes ran the reset
+  // part) is the core's final figure.
+  std::vector<AnalysisReport> accepted(cores);
   for (std::size_t index : order) {
     bool placed = false;
     for (std::size_t c = 0; c < cores && !placed; ++c) {
       bins[c].push_back(set[index]);
-      if (core_feasible(bins[c], core_budget(options, c))) {
+      if (std::optional<AnalysisReport> report = core_feasible(bins[c], core_budget(options, c))) {
+        accepted[c] = *report;
         result.assignment[c].push_back(index);
         placed = true;
       } else {
@@ -104,14 +118,26 @@ PartitionResult partition_first_fit(const TaskSet& set, std::size_t cores,
       result.core_delta_r.push_back(0.0);
       continue;
     }
-    AnalysisRequest request;
-    request.set = TaskSet(bins[c]);
-    request.speed = core_budget(options, c).hi_speedup;
-    const Expected<AnalysisReport> report = analyze(request);
-    result.core_s_min.push_back(report ? report->s_min
-                                       : std::numeric_limits<double>::infinity());
-    result.core_delta_r.push_back(report ? report->delta_r
-                                         : std::numeric_limits<double>::infinity());
+    const CoreBudget budget = core_budget(options, c);
+    double s_min = accepted[c].s_min;
+    double delta_r = accepted[c].delta_r;
+    if (!std::isfinite(budget.max_reset)) {
+      // The probes skipped Corollary 5; run it alone at the budget speed.
+      // It errors on a speed it cannot certify (e.g. +inf), and then the
+      // core reports neither figure, as a failed full analysis would.
+      AnalysisRequest request;
+      request.set = TaskSet(bins[c]);
+      request.speed = budget.hi_speedup;
+      request.parts = {.speedup = false, .reset = true, .lo = false};
+      const Expected<AnalysisReport> report = analyze(request);
+      if (report) {
+        delta_r = report->delta_r;
+      } else {
+        s_min = delta_r = std::numeric_limits<double>::infinity();
+      }
+    }
+    result.core_s_min.push_back(s_min);
+    result.core_delta_r.push_back(delta_r);
   }
   return result;
 }

@@ -6,11 +6,15 @@
 // speeding up on its own overruns. A core accepts a task iff the core's set
 // remains (a) LO-mode schedulable at nominal speed, (b) HI-mode schedulable
 // within the per-core speedup budget s (Theorem 2), and (c) back to nominal
-// within the reset budget (Corollary 5). All three verdicts come from one
-// fused Analyzer call per placement probe, with the budget comparisons
-// routed through the project tolerance policy (support/tolerance.hpp) so a
-// set whose s_min sits exactly on the DVFS ceiling is accepted instead of
-// flipping with rounding noise.
+// within the reset budget (Corollary 5). A placement probe asks the
+// Analyzer for the LO-mode verdict first and runs the speedup part (fused
+// with the reset part under a finite reset budget) only when (a) holds, so a
+// probe the LO test rejects costs no Theorem 2 sweep. The budget comparisons
+// are routed through the project tolerance policy (support/tolerance.hpp)
+// so a set whose s_min sits exactly on the DVFS ceiling is accepted instead
+// of flipping with rounding noise. A core's final set is the set of its last
+// accepted probe, whose report supplies core_s_min (and core_delta_r when
+// the probes computed it); otherwise one reset-only call per core does.
 //
 // First-fit decreasing (by LO+HI utilization) is the standard bin-packing
 // heuristic for this feasibility predicate. The decreasing order is fully

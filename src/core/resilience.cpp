@@ -5,8 +5,7 @@
 #include <limits>
 #include <string>
 
-#include "core/reset.hpp"
-#include "core/speedup.hpp"
+#include "core/analysis.hpp"
 
 namespace rbs {
 
@@ -24,6 +23,24 @@ std::vector<std::size_t> sacrifice_order(const TaskSet& set) {
     return set[a].utilization(Mode::HI) > set[b].utilization(Mode::HI);
   });
   return order;
+}
+
+/// Theorem 2 alone at speed s: s_min and the HI-mode verdict at s. The
+/// facade errors only on degenerate limits, and the defaults are not.
+AnalysisReport speedup_at(const TaskSet& set, double s) {
+  return Analyzer().analyze(set, s, {.speedup = true, .reset = false, .lo = false}).value();
+}
+
+/// Corollary 5 alone: Delta_R at speed s > 0. The facade rejects a
+/// non-finite speed; at s = +inf the supply line meets any finite demand
+/// at once, so Delta_R is 0.
+double delta_r_at(const TaskSet& set, double s, const ResilienceOptions& options) {
+  if (std::isinf(s) && s > 0) return 0.0;
+  AnalysisLimits limits;
+  limits.discard_dropped_carryover = options.discard_dropped_carryover;
+  const Expected<AnalysisReport> report =
+      Analyzer(limits).analyze(set, s, {.speedup = false, .reset = true, .lo = false});
+  return report ? report->delta_r : kInf;
 }
 
 McTask rebuild(const McTask& t) {
@@ -65,15 +82,17 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
                                    const ResilienceOptions& options) {
   DegradedGuarantee g;
   g.achieved_speed = achieved_speed;
-  g.nominal_s_min = min_speedup_value(set);
-  g.s_min_with_fallback = g.nominal_s_min;
   g.delta_r = kInf;
-  const ResetOptions ropts{options.discard_dropped_carryover, 20'000'000};
 
-  if (hi_mode_schedulable(set, achieved_speed)) {
+  // One speedup-only sweep per tier yields both s_min and the HI-mode
+  // verdict at s'; Delta_R is computed once, for the tier that is taken.
+  const AnalysisReport nominal = speedup_at(set, achieved_speed);
+  g.nominal_s_min = nominal.s_min;
+  g.s_min_with_fallback = g.nominal_s_min;
+  if (nominal.hi_schedulable) {
     g.schedulable_unmodified = true;
     g.feasible = true;
-    g.delta_r = resetting_time(set, achieved_speed, ropts).delta_r;
+    g.delta_r = delta_r_at(set, achieved_speed, options);
     return g;
   }
 
@@ -85,11 +104,12 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
     terminated.push_back(candidate);
     const Expected<TaskSet> reduced = apply_termination(set, terminated);
     if (!reduced) break;  // cannot happen: candidates are live LO tasks
-    if (hi_mode_schedulable(reduced.value(), achieved_speed)) {
+    const AnalysisReport tier = speedup_at(reduced.value(), achieved_speed);
+    if (tier.hi_schedulable) {
       g.feasible = true;
       g.fallback.terminated = terminated;
-      g.s_min_with_fallback = min_speedup_value(reduced.value());
-      g.delta_r = resetting_time(reduced.value(), achieved_speed, ropts).delta_r;
+      g.s_min_with_fallback = tier.s_min;
+      g.delta_r = delta_r_at(reduced.value(), achieved_speed, options);
       return g;
     }
   }
@@ -98,10 +118,10 @@ DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
 
 BoostFaultMargin boost_fault_margin(const TaskSet& set) {
   BoostFaultMargin m;
-  m.s_min = min_speedup_value(set);
+  m.s_min = speedup_at(set, 1.0).s_min;
   m.max_fallback.terminated = sacrifice_order(set);
   const Expected<TaskSet> reduced = apply_termination(set, m.max_fallback.terminated);
-  m.margin = reduced ? min_speedup_value(reduced.value()) : m.s_min;
+  m.margin = reduced ? speedup_at(reduced.value(), 1.0).s_min : m.s_min;
   return m;
 }
 
@@ -129,8 +149,7 @@ double degraded_resetting_time(const TaskSet& set, double achieved_speed,
                                const FallbackPlan& fallback, const ResilienceOptions& options) {
   const Expected<TaskSet> reduced = apply_termination(set, fallback.terminated);
   if (!reduced) return kInf;
-  const ResetOptions ropts{options.discard_dropped_carryover, 20'000'000};
-  return resetting_time(reduced.value(), achieved_speed, ropts).delta_r;
+  return delta_r_at(reduced.value(), achieved_speed, options);
 }
 
 }  // namespace rbs

@@ -69,6 +69,9 @@ struct DegradedGuarantee {
 /// below s_min. Exact: every tier is checked with Theorem 2 on the reduced
 /// set. Tiers terminate LO tasks in order of decreasing HI-mode utilization
 /// (ties by index), skipping tasks already terminated in the input.
+/// Cost: one speedup-only Analyzer sweep per tier tried (the unmodified set
+/// first), which yields both s_min and the verdict at s', plus one
+/// reset-only sweep for Delta_R of the tier taken.
 [[nodiscard]] DegradedGuarantee analyze_degraded(const TaskSet& set, double achieved_speed,
                                    const ResilienceOptions& options = {});
 

@@ -5,9 +5,12 @@ Usage:
     bench_perf --benchmark_format=json > current.json
     python3 tools/bench_drift.py current.json results/BENCH_perf.json [--tolerance 0.35]
 
-Benchmarks are matched by name; cpu_time is normalized to nanoseconds before
-comparison. A benchmark regresses when its current cpu_time exceeds the
-reference by more than the tolerance fraction. Exit status is 1 when any
+Benchmarks are matched by name; times are normalized to nanoseconds before
+comparison. A benchmark regresses when its current time exceeds the
+reference by more than the tolerance fraction. The time is cpu_time, except
+for benchmarks timed on the wall clock (UseRealTime(), whose names end in
+"/real_time"): their main thread mostly waits on workers, so real_time is
+compared instead. Exit status is 1 when any
 benchmark regresses, 0 otherwise -- CI runs this warn-only
 (`... || echo "::warning::..."`) because shared runners are too noisy for a
 hard perf gate; the committed reference is refreshed deliberately alongside
@@ -26,7 +29,10 @@ Flat throughput artifacts (results/BENCH_service.json from `service_load
 accepted: when the JSON document has no "benchmarks" array the screen switches
 to throughput mode, comparing every `*_per_sec` field. Throughput regresses
 in the opposite direction from cpu_time -- a benchmark is flagged when the
-current rate falls below reference * (1 - tolerance).
+current rate falls below reference * (1 - tolerance). Rates are only
+comparable for the same workload: when a config field (sets_per_core_count,
+core_counts, items, tolerance, u_per_core) differs between the two files,
+the screen prints "incomparable" and exits 1 instead of comparing.
 
 Only the standard library is used; there is nothing to install.
 """
@@ -50,8 +56,14 @@ def load_doc(path):
         return json.load(handle)
 
 
-def load_cpu_times(doc):
-    """Returns {benchmark name: cpu_time in ns} for plain iteration runs."""
+# Workload config fields of the flat artifacts: rates from different values
+# measure different work.
+_CONFIG_KEYS = ("sets_per_core_count", "core_counts", "items", "tolerance", "u_per_core")
+
+
+def load_times(doc):
+    """Returns {benchmark name: time in ns} for plain iteration runs: cpu_time,
+    or real_time for benchmarks timed on the wall clock."""
     times = {}
     for bench in doc.get("benchmarks", []):
         if bench.get("run_type", "iteration") != "iteration":
@@ -60,7 +72,8 @@ def load_cpu_times(doc):
         if unit not in _TO_NS:
             print(f"note: {bench['name']}: unknown time_unit {unit!r}, skipped")
             continue
-        times[bench["name"]] = float(bench["cpu_time"]) * _TO_NS[unit]
+        field = "real_time" if bench["name"].endswith("/real_time") else "cpu_time"
+        times[bench["name"]] = float(bench[field]) * _TO_NS[unit]
     return times
 
 
@@ -72,6 +85,15 @@ def load_rates(doc):
         if key.endswith("_per_sec") and isinstance(value, (int, float)):
             rates[f"{prefix}/{key}" if prefix else key] = float(value)
     return rates
+
+
+def config_mismatches(current_doc, reference_doc):
+    """Config fields whose values differ between two flat artifacts."""
+    return [
+        (key, reference_doc.get(key), current_doc.get(key))
+        for key in _CONFIG_KEYS
+        if current_doc.get(key) != reference_doc.get(key)
+    ]
 
 
 def drift_rates(current, reference, tolerance):
@@ -113,7 +135,7 @@ def main(argv):
         "--tolerance",
         type=float,
         default=0.35,
-        help="allowed fractional cpu_time increase before a benchmark counts "
+        help="allowed fractional time increase before a benchmark counts "
         "as regressed (default: 0.35)",
     )
     parser.add_argument(
@@ -130,12 +152,18 @@ def main(argv):
     reference_doc = load_doc(args.reference)
     if "benchmarks" not in reference_doc:
         # Flat throughput artifact (service_load / bench_multicore --json).
+        mismatches = config_mismatches(current_doc, reference_doc)
+        if mismatches:
+            print("incomparable: the workload config differs from the reference")
+            for key, ref, cur in mismatches:
+                print(f"  {key}: reference {ref!r}, current {cur!r}")
+            return 1
         return drift_rates(
             load_rates(current_doc), load_rates(reference_doc), args.tolerance
         )
 
-    current = load_cpu_times(current_doc)
-    reference = load_cpu_times(reference_doc)
+    current = load_times(current_doc)
+    reference = load_times(reference_doc)
 
     regressions = []
     simulator_drift = []
@@ -148,7 +176,7 @@ def main(argv):
         max((len(name) for name in reference), default=10),
         max((len(name) for name in new_benches), default=10),
     )
-    print(f"{'benchmark':<{width}}  {'ref cpu':>12}  {'cur cpu':>12}  {'delta':>8}")
+    print(f"{'benchmark':<{width}}  {'ref time':>12}  {'cur time':>12}  {'delta':>8}")
     for name in sorted(reference):
         ref_ns = reference[name]
         if name not in current:
