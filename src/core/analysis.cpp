@@ -1,5 +1,6 @@
 #include "core/analysis.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <vector>
@@ -15,8 +16,12 @@ namespace rbs {
 
 namespace {
 
-constexpr unsigned kSpeedupMask = 1u;
-constexpr unsigned kResetMask = 2u;
+// Each sub-analysis is one consumer of the merged stream (TaggedSeq): its
+// sequences carry its bit, and their jumps and slope changes its index.
+constexpr unsigned kSpeedupConsumer = 0;
+constexpr unsigned kResetConsumer = 1;
+constexpr unsigned kSpeedupMask = 1u << kSpeedupConsumer;
+constexpr unsigned kResetMask = 1u << kResetConsumer;
 
 /// State of the Theorem 2 ratio maximisation, advanced one DBF_HI breakpoint
 /// at a time. DBF_HI is carried as a running (value, slope) pair instead of
@@ -73,15 +78,19 @@ struct SpeedupSearch {
     }
     *worked = true;
     if (++visited > limits.max_breakpoints) {
+      // Every ratio from d on, d itself unevaluated, is at most U + K/d, so
+      // the supremum lies in [best, max(best, U + K/d)]. The envelope may
+      // already sit below best (the cap fired on the tick where the exact
+      // rule would settle): the bound is then 0, never negative.
       exact = false;
-      error_bound = (u_hi + k / static_cast<double>(d)) - best;
+      error_bound = std::max(0.0, (u_hi + k / static_cast<double>(d)) - best);
       active = false;
       return;
     }
     // The running slope counts the ramps in progress, so it is at most the
     // number of tasks, and slope * (d - prev) is part of the left limit: no
     // intermediate exceeds the dbf_hi_total(set, d) the re-sum held in Ticks.
-    const Ticks left = demand.advance(p);
+    const Ticks left = demand.advance(p, kSpeedupConsumer);
     const double delta = static_cast<double>(d);
     const double ratio_right = static_cast<double>(demand.value) / delta;
     const double ratio_left = static_cast<double>(left) / delta;
@@ -110,20 +119,23 @@ struct SpeedupSearch {
 
 /// State of the Corollary 5 crossing search, advanced one ADB_HI breakpoint
 /// at a time; mirrors resetting_time() exactly (same long double segment
-/// arithmetic, same counting).
+/// arithmetic, same counting). ADB_HI is carried as a running (value, slope)
+/// pair like DBF_HI in SpeedupSearch, so a tick costs O(1) instead of
+/// re-summing adb_hi_total / adb_hi_total_left over every task; the pair
+/// yields the same integers, hence the same crossing bit for bit.
 struct ResetSearch {
   bool active = false;
   double delta_r = 0.0;
   bool exact = true;
   std::size_t visited = 0;
   long double speed = 1.0L;
-  Ticks prev = 0;
-  long double value_at_prev = 0.0L;
-  bool discard = false;
+  /// ADB_HI from 0 on. The sequences built in analyze_impl carry the jumps
+  /// and slope changes; the start value is adb_hi_total(set, 0), which
+  /// includes each dropped task's constant carry-over.
+  RunningDemand demand;
 
   void init(const TaskSet& set, double s, double u_hi, const AnalysisLimits& limits) {
     speed = s;
-    discard = limits.discard_dropped_carryover;
     if (set.empty()) return;  // Delta_R = 0: nothing ever arrives
 
     // ADB_HI grows asymptotically at rate U_HI; the supply s*Delta can only
@@ -132,16 +144,16 @@ struct ResetSearch {
       delta_r = std::numeric_limits<double>::infinity();
       return;
     }
-    value_at_prev = static_cast<long double>(adb_hi_total(set, 0, discard));
-    if (value_at_prev <= 0) return;  // all carry-over discarded, no demand
+    if (adb_hi_total(set, 0, limits.discard_dropped_carryover) <= 0)
+      return;  // all carry-over discarded, no demand
     active = true;
   }
 
-  /// Advances over the segment ending at breakpoint `b` (nullopt: the demand
-  /// is constant beyond `prev`); clears `active` once the crossing is found.
-  void step(const TaskSet& set, std::optional<Ticks> b, const AnalysisLimits& limits,
-            bool* worked) {
-    if (b && *b == 0) return;  // the leading 0 breakpoint is consumed for free
+  /// Advances over the segment ending at breakpoint `p` (nullptr: the demand
+  /// is constant beyond the last one); clears `active` once the crossing is
+  /// found.
+  void step(const TaggedBreakpointMerger::Point* p, const AnalysisLimits& limits, bool* worked) {
+    if (p && p->tick == 0) return;  // the leading 0 breakpoint is consumed for free
     *worked = true;
     if (++visited > limits.max_breakpoints) {
       delta_r = std::numeric_limits<double>::infinity();
@@ -150,6 +162,8 @@ struct ResetSearch {
       return;
     }
 
+    const Ticks prev = demand.prev;
+    const long double value_at_prev = static_cast<long double>(demand.value);
     // Condition already met at the segment start?
     if (value_at_prev <= speed * static_cast<long double>(prev)) {
       delta_r = static_cast<double>(prev);
@@ -157,7 +171,7 @@ struct ResetSearch {
       return;
     }
 
-    if (!b) {
+    if (!p) {
       // No further breakpoints: demand is constant beyond `prev` (possible
       // when every task is dropped). The supply line crosses at value / s.
       delta_r = static_cast<double>(value_at_prev / speed);
@@ -165,56 +179,53 @@ struct ResetSearch {
       return;
     }
 
-    const long double left_limit = static_cast<long double>(adb_hi_total_left(set, *b, discard));
-    const long double slope = (left_limit - value_at_prev) / static_cast<long double>(*b - prev);
+    const Ticks b = p->tick;
+    const long double left_limit = static_cast<long double>(demand.advance(*p, kResetConsumer));
+    const long double slope = (left_limit - value_at_prev) / static_cast<long double>(b - prev);
 
     // Crossing inside (prev, b): value_at_prev + slope*(Delta - prev) = s*Delta.
     if (speed > slope) {
       const long double crossing =
           (value_at_prev - slope * static_cast<long double>(prev)) / (speed - slope);
-      if (crossing >= static_cast<long double>(prev) && crossing < static_cast<long double>(*b)) {
+      if (crossing >= static_cast<long double>(prev) && crossing < static_cast<long double>(b)) {
         delta_r = static_cast<double>(crossing);
         active = false;
-        return;
       }
     }
-
-    value_at_prev = static_cast<long double>(adb_hi_total(set, *b, discard));
-    prev = *b;
   }
 };
 
 /// The fused sweep proper: one merged walk over both breakpoint families.
 /// Sequences are tagged with the consumer they serve; a tick evaluates only
-/// the consumers that are both tagged on it and still searching, so a settled
-/// consumer costs nothing and shared ticks are fetched from the heap once.
+/// the consumers that are both tagged on it and still searching, and the
+/// merger drops the sequences of a settled consumer as they come up, so a
+/// settled consumer costs nothing and shared ticks are fetched once.
 /// Returns the number of breakpoints that did real work.
 ///
 /// This loop dominates every analysis call, so it is RBS_HOT_PATH: rbs_lint's
 /// rt pass keeps the whole reachable tree (merger, both searches, the running
-/// DBF_HI state, the adb totals) free of allocation, locking, I/O and throw.
-/// The merger and tagged-sequence setup stays with the caller -- building
-/// those vectors, with each sequence's DBF_HI jump and slope change, is the
-/// one-time cold part.
-RBS_HOT_PATH std::size_t run_fused_sweep(const TaskSet& set, TaggedBreakpointMerger& merger,
-                                         SpeedupSearch& speedup, ResetSearch& reset,
-                                         const AnalysisLimits& limits) {
+/// DBF_HI and ADB_HI states) free of allocation, locking, I/O and throw. The
+/// merger and tagged-sequence setup stays with the caller -- building those
+/// vectors, with each sequence's jump and slope change, is the one-time cold
+/// part.
+RBS_HOT_PATH std::size_t run_fused_sweep(TaggedBreakpointMerger& merger, SpeedupSearch& speedup,
+                                         ResetSearch& reset, const AnalysisLimits& limits) {
   std::size_t fused = 0;
   while (speedup.active || reset.active) {
-    const auto point = merger.next();
+    const unsigned live = (speedup.active ? kSpeedupMask : 0u) | (reset.active ? kResetMask : 0u);
+    const auto point = merger.next(live);
     if (!point) break;
     bool worked = false;
     if (speedup.active && (point->mask & kSpeedupMask) != 0)
       speedup.step(*point, limits, &worked);
-    if (reset.active && (point->mask & kResetMask) != 0)
-      reset.step(set, point->tick, limits, &worked);
+    if (reset.active && (point->mask & kResetMask) != 0) reset.step(&*point, limits, &worked);
     if (worked) ++fused;
   }
-  // Merger exhausted with the crossing still open: the demand is constant
-  // past the last breakpoint (the separate walk's `!next` tail step).
+  // No ADB_HI breakpoint left with the crossing still open: the demand is
+  // constant past the last one (the separate walk's `!next` tail step).
   if (reset.active) {
     bool worked = false;
-    reset.step(set, std::nullopt, limits, &worked);
+    reset.step(nullptr, limits, &worked);
     if (worked) ++fused;
   }
   return fused;
@@ -266,11 +277,16 @@ RBS_DET_PATH Expected<AnalysisReport> analyze_impl(const TaskSet& set, double sp
         append_running_seqs(
             dbf_hi_breakpoints(t), kSpeedupMask, [&t](Ticks d) { return dbf_hi(t, d); },
             [&t](Ticks d) { return dbf_hi_left(t, d); }, seqs, speedup.demand);
-    if (reset.active)
+    if (reset.active) {
+      const bool discard = limits.discard_dropped_carryover;
       for (const McTask& t : set)
-        for (const ArithSeq& s : adb_hi_breakpoints(t)) seqs.push_back({s, kResetMask});
+        append_running_seqs(
+            adb_hi_breakpoints(t), kResetMask,
+            [&t, discard](Ticks d) { return adb_hi(t, d, discard); },
+            [&t, discard](Ticks d) { return adb_hi_left(t, d, discard); }, seqs, reset.demand);
+    }
     TaggedBreakpointMerger merger(seqs);
-    report.fused_breakpoints += run_fused_sweep(set, merger, speedup, reset, limits);
+    report.fused_breakpoints += run_fused_sweep(merger, speedup, reset, limits);
   }
 
   if (parts.speedup) {

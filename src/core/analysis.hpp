@@ -8,12 +8,15 @@
 // breakpoint families (window starts, ramp starts, ramp saturations), so one
 // TaggedBreakpointMerger walk serves both the Theorem 2 ratio maximisation
 // and the Corollary 5 crossing search; ticks shared by both families are
-// fetched from the heap once instead of twice, and a settled sub-analysis
-// skips foreign ticks for free. The fused sweep therefore never visits more
-// breakpoints than the two independent walks it replaces. The Theorem 2 half
-// carries DBF_HI as a running (value, slope) pair instead of re-summing it
-// over every task per tick, and its results agree with the direct-sum
-// `min_speedup` / `resetting_time` bit for bit (enforced by
+// fetched from the heap once instead of twice. The walk passes the merger
+// the mask of sub-analyses still searching, and the merger drops a settled
+// one's sequences as they come up, so from then on the walk costs what the
+// other half alone would. The fused sweep therefore never visits more
+// breakpoints than the two independent walks it replaces. Each half carries
+// its demand (DBF_HI, ADB_HI) as a running (value, slope) pair instead of
+// re-summing it over every task per tick; the merged tick carries each
+// half's jumps and slope changes apart. The results agree with the
+// direct-sum `min_speedup` / `resetting_time` bit for bit (enforced by
 // tests/core/analysis_test.cpp).
 //
 // The legacy one-shot helpers (`min_speedup_value`, `hi_mode_schedulable`,
@@ -95,7 +98,8 @@ struct AnalysisReport {
   double s_min = 0.0;
   /// True when the stopping rule proved s_min optimal.
   bool s_min_exact = true;
-  /// When !s_min_exact: the true s_min lies in [s_min, s_min + error bound].
+  /// When !s_min_exact: the true s_min lies in [s_min, s_min + error bound];
+  /// never negative, whichever rule (cap or rel_tol) stopped the search.
   double s_min_error_bound = 0.0;
   /// Interval length attaining the supremum (0 when the Delta->inf limit,
   /// i.e. the HI-mode utilization, dominates).

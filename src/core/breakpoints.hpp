@@ -11,6 +11,8 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <optional>
 #include <vector>
@@ -32,7 +34,8 @@ struct ArithSeq {
 /// `at` and `period`; a merger reads the top, then advances it in place with
 /// advance_top(): one sift-down per tick where a pop and a push cost two.
 /// A sequence is dropped once its next tick would reach kInfTicks (or at
-/// once for a singleton, period 0). Ties on `at` leave no defined order.
+/// once for a singleton, period 0), or when the merger asks for it.
+/// Ties on `at` leave no defined order.
 template <class Entry>
 class SeqHeap {
  public:
@@ -52,10 +55,12 @@ class SeqHeap {
   bool empty() const { return size_ == 0; }
   const Entry& top() const { return heap_[0]; }
 
-  /// Moves the top sequence to its next tick, or drops it when exhausted.
-  void advance_top() {
+  /// Moves the top sequence to its next tick, or drops it when exhausted or
+  /// when `drop` is set (no consumer needs its ticks any more); one
+  /// sift-down either way.
+  void advance_top(bool drop = false) {
     Entry& e = heap_[0];
-    if (e.period > 0 && e.at < kInfTicks - e.period) {
+    if (!drop && e.period > 0 && e.at < kInfTicks - e.period) {
       e.at += e.period;
     } else {
       heap_[0] = heap_[--size_];
@@ -112,14 +117,21 @@ class BreakpointMerger {
   Ticks last_ = -1;  // breakpoints are non-negative
 };
 
+/// Consumers the tagged merger keeps apart: a sequence's jump and slope
+/// change count toward one of them (see TaggedSeq).
+inline constexpr unsigned kTaggedConsumers = 4;
+
 /// An arithmetic sequence annotated with the consumers (a bitmask) it serves.
 /// The fused analysis sweep (core/analysis.hpp) walks the DBF_HI and ADB_HI
 /// breakpoint families in one pass; the mask tells it which sub-analysis each
-/// merged tick belongs to, so a settled consumer skips foreign ticks for free.
+/// merged tick belongs to, and once a sub-analysis settles the merger drops
+/// its sequences instead of walking them on (TaggedBreakpointMerger::next).
 ///
 /// A sequence of a demand the sweep tracks incrementally (RunningDemand) also
 /// carries what that demand does at each of its ticks past 0: the jump of the
-/// value and the change of the slope. Other sequences leave both at 0.
+/// value and the change of the slope. They count toward consumer c, the
+/// lowest bit set in `mask` (c = 0 for mask 0), which must be below
+/// kTaggedConsumers. Other sequences leave both at 0.
 struct TaggedSeq {
   ArithSeq seq;
   unsigned mask = 0;
@@ -128,35 +140,54 @@ struct TaggedSeq {
 };
 
 /// Merges tagged sequences into one strictly increasing stream; each tick is
-/// emitted once, carrying the union of the masks and the sums of the jumps
-/// and slope changes of every sequence hitting it.
+/// emitted once, carrying the union of the masks and, per consumer, the sums
+/// of the jumps and slope changes of the sequences hitting it. Two demands
+/// that share ticks (DBF_HI and ADB_HI do) therefore never mix their sums.
 class TaggedBreakpointMerger {
  public:
   struct Point {
     Ticks tick = 0;
     unsigned mask = 0;
-    Ticks jump = 0;
-    Ticks dslope = 0;
+    Ticks jump[kTaggedConsumers] = {};    ///< summed jumps, by consumer
+    Ticks dslope[kTaggedConsumers] = {};  ///< summed slope changes, by consumer
   };
 
   explicit TaggedBreakpointMerger(const std::vector<TaggedSeq>& seqs)
       : heap_(seqs, [](const TaggedSeq& s) {
-          return Entry{s.seq.start, s.seq.period, s.jump, s.dslope, s.mask};
+          const auto consumer = s.mask == 0 ? 0u : static_cast<unsigned>(std::countr_zero(s.mask));
+          assert(consumer < kTaggedConsumers);
+          return Entry{s.seq.start, s.seq.period, s.jump, s.dslope, s.mask, consumer};
         }) {}
 
-  /// Next merged breakpoint, or nullopt when every sequence is exhausted.
+  /// Next merged breakpoint of the sequences still serving a consumer in
+  /// `live`, or nullopt when none is left. A tagged sequence none of whose
+  /// consumers is live is dropped from the heap when it reaches the top, so
+  /// a settled consumer costs nothing from then on; an untagged one (mask 0)
+  /// is never dropped this way. `live` may lose bits from call to call but
+  /// must not regain them: a dropped sequence does not come back.
   /// Hot: one call per merged tick of the fused analysis sweep and of the
   /// LO-mode demand walk; each sequence on the tick costs one sift-down.
-  std::optional<Point> next() RBS_HOT_PATH {
+  ///
+  /// The sums go through selects into a plain local `p`: indexing
+  /// p.jump[e.consumer], or filling an optional in the loop, ran the
+  /// speedup-only sweep (BM_SpeedupSweep) up to 2x slower.
+  std::optional<Point> next(unsigned live = ~0u) RBS_HOT_PATH {
+    while (!heap_.empty() && settled(heap_.top(), live)) heap_.advance_top(/*drop=*/true);
     if (heap_.empty()) return std::nullopt;
-    Point p{heap_.top().at, 0, 0, 0};
-    while (!heap_.empty() && heap_.top().at == p.tick) {
+    Point p;
+    p.tick = heap_.top().at;
+    do {
       const Entry& e = heap_.top();
-      p.mask |= e.mask;
-      p.jump += e.jump;
-      p.dslope += e.dslope;
-      heap_.advance_top();
-    }
+      const bool drop = settled(e, live);
+      if (!drop) {
+        p.mask |= e.mask;
+        for (unsigned c = 0; c < kTaggedConsumers; ++c) {
+          p.jump[c] += e.consumer == c ? e.jump : 0;
+          p.dslope[c] += e.consumer == c ? e.dslope : 0;
+        }
+      }
+      heap_.advance_top(drop);
+    } while (!heap_.empty() && heap_.top().at == p.tick);
     return p;
   }
 
@@ -167,7 +198,9 @@ class TaggedBreakpointMerger {
     Ticks jump = 0;
     Ticks dslope = 0;
     unsigned mask = 0;
+    unsigned consumer = 0;
   };
+  static bool settled(const Entry& e, unsigned live) { return e.mask != 0 && (e.mask & live) == 0; }
   SeqHeap<Entry> heap_;
 };
 
@@ -186,12 +219,13 @@ struct RunningDemand {
   Ticks left_at(Ticks d) const { return value + slope * (d - prev); }
 
   /// Folds in the merged breakpoint `p` (the next breakpoint of F after
-  /// prev) and returns F's left limit there; `value` becomes F(p.tick).
-  Ticks advance(const TaggedBreakpointMerger::Point& p) {
+  /// prev), whose sequences tagged for `consumer` are F's, and returns F's
+  /// left limit there; `value` becomes F(p.tick).
+  Ticks advance(const TaggedBreakpointMerger::Point& p, unsigned consumer = 0) {
     const Ticks left = left_at(p.tick);
     prev = p.tick;
-    value = left + p.jump;
-    slope += p.dslope;
+    value = left + p.jump[consumer];
+    slope += p.dslope[consumer];
     return left;
   }
 };
@@ -205,13 +239,15 @@ struct RunningDemand {
 /// starts lie in [0, T) for the one period T > 0 they share, and
 /// f(x + T) = f(x) + const for x >= 0, so the jump and slope change repeat
 /// every T and are read once, at each sequence's first positive tick.
+/// A term without sequences must be constant (a dropped task's ADB_HI carry-
+/// over, or its zero DBF_HI); it adds its value and nothing else.
 /// `value(d)` is f(d) and `left(d)` the left limit lim_{eps->0+} f(d - eps).
 /// The walk starts from `start` at 0 and folds in every merged tick past 0.
 template <class Value, class LeftLimit>
 void append_running_seqs(const std::vector<ArithSeq>& seqs, unsigned mask, Value value,
                          LeftLimit left, std::vector<TaggedSeq>& out, RunningDemand& start) {
-  if (seqs.empty()) return;
   start.value += value(0);
+  if (seqs.empty()) return;
   start.slope += left(1) - value(0);
   for (auto it = seqs.begin(); it != seqs.end(); ++it) {
     const ArithSeq& s = *it;

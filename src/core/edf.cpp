@@ -28,7 +28,7 @@ RBS_HOT_PATH void walk_lo_demand(TaggedBreakpointMerger& merger, const EdfTestOp
       result.conclusive = false;
       return;
     }
-    demand += p->jump;
+    demand += p->jump[0];
     if (static_cast<long double>(demand) > speed * static_cast<long double>(p->tick)) {
       result.schedulable = false;
       result.violation_delta = p->tick;
@@ -83,7 +83,9 @@ EdfTestResult lo_mode_test(const TaskSet& set, const EdfTestOptions& options) {
   }
 
   // DBF_LO jumps by C(LO) at every tick of its sequence and is flat between
-  // them, so the walk carries the total as a running sum.
+  // them, so the walk carries the total as a running sum. The sequences are
+  // untagged (mask 0): the merger never drops them and sums their jumps as
+  // consumer 0.
   std::vector<TaggedSeq> seqs;
   seqs.reserve(set.size());
   for (const McTask& t : set) seqs.push_back({dbf_lo_breakpoints(t), 0u, t.wcet(Mode::LO)});

@@ -1,5 +1,6 @@
 #include "core/speedup.hpp"
 
+#include <algorithm>
 #include <limits>
 
 #include "core/breakpoints.hpp"
@@ -42,8 +43,10 @@ SpeedupResult min_speedup(const TaskSet& set, const SpeedupOptions& options) {
     if (*d == 0) continue;  // handled above
     if (*d > hyperperiod) break;  // supremum settled exactly (see above)
     if (++result.breakpoints_visited > options.max_breakpoints) {
+      // Every ratio from *d on is at most U + K/(*d); clamp at 0 for a cap
+      // that fires where the envelope already sits below best.
       result.exact = false;
-      result.error_bound = (u_hi + k / static_cast<double>(*d)) - best;
+      result.error_bound = std::max(0.0, (u_hi + k / static_cast<double>(*d)) - best);
       break;
     }
     const double delta = static_cast<double>(*d);

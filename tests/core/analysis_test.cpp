@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "core/edf.hpp"
 #include "core/reset.hpp"
@@ -272,6 +273,99 @@ TEST(AnalysisFacadeTest, HugePeriodsAgreeBitForBitNearTickLimit) {
   while (const auto d = merger.next())
     if (*d > 0) ++positive_ticks;
   EXPECT_EQ(fused.speedup_breakpoints, positive_ticks);
+}
+
+TEST(AnalysisFacadeTest, AllDroppedSetCrossesPastTheLastBreakpoint) {
+  // Every task dropped: ADB_HI is the constant carry-over, no sequence is
+  // merged, and the crossing comes from the tail step after the merger runs
+  // dry (value / s), or is 0 once the carry-over is discarded.
+  const TaskSet set({McTask::lo_terminated("a", 2, 10, 10), McTask::lo_terminated("b", 3, 12, 12),
+                     McTask::lo_terminated("c", 4, 7, 9)});
+  for (const bool discard : {false, true})
+    for (const double speed : {0.25, 1.0, 1.5, 3.0})
+      for (const AnalysisParts parts : {kFused, AnalysisParts{.speedup = false, .reset = true,
+                                                              .lo = false}}) {
+        SCOPED_TRACE(testing::Message() << "discard " << discard << " speed " << speed
+                                        << " speedup part " << parts.speedup);
+        AnalysisLimits limits;
+        limits.discard_dropped_carryover = discard;
+        const AnalysisReport fused = analyze({set, speed, 1.0, parts, limits}).value();
+        ResetOptions options;
+        options.discard_dropped_carryover = discard;
+        const ResetResult reset = resetting_time(set, speed, options);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(fused.delta_r),
+                  std::bit_cast<std::uint64_t>(reset.delta_r));
+        EXPECT_EQ(fused.delta_r_exact, reset.exact);
+        EXPECT_EQ(fused.reset_breakpoints, reset.breakpoints_visited);
+        EXPECT_DOUBLE_EQ(fused.delta_r, discard ? 0.0 : 9.0 / speed);
+        EXPECT_EQ(fused.reset_breakpoints, discard ? 0u : 1u);
+      }
+}
+
+/// The speedup part under every breakpoint cap from 1 to the uncapped count:
+/// the reported interval [s_min, s_min + error bound] must hold the true
+/// s_min (`truth`, from the uncapped run), the bound must not be negative,
+/// min_speedup must report the same bits, and no speed below the truth may
+/// be certified. Returns the uncapped breakpoint count.
+std::size_t expect_sound_under_every_cap(const TaskSet& set, const std::vector<double>& speeds) {
+  constexpr AnalysisParts kSpeedupOnly{.speedup = true, .reset = false, .lo = false};
+  const AnalysisReport full = Analyzer().analyze(set, 1.0, kSpeedupOnly).value();
+  EXPECT_TRUE(full.s_min_exact);
+  const double truth = full.s_min;
+  std::vector<double> below = speeds;
+  below.push_back(truth * (1.0 - 1e-9));
+  for (std::size_t cap = 1; cap <= full.speedup_breakpoints; ++cap) {
+    SCOPED_TRACE(testing::Message() << "cap " << cap);
+    AnalysisLimits limits;
+    limits.max_breakpoints = cap;
+    SpeedupOptions options;
+    options.max_breakpoints = cap;
+    const SpeedupResult reference = min_speedup(set, options);
+    for (const double speed : below) {
+      const AnalysisReport r = analyze({set, speed, 1.0, kSpeedupOnly, limits}).value();
+      EXPECT_GE(r.s_min_error_bound, 0.0);
+      EXPECT_LE(r.s_min, truth);
+      EXPECT_GE(r.s_min + r.s_min_error_bound, truth);
+      if (speed < truth) {
+        EXPECT_FALSE(r.hi_schedulable) << "speed " << speed;
+      }
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.s_min),
+                std::bit_cast<std::uint64_t>(reference.s_min));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(r.s_min_error_bound),
+                std::bit_cast<std::uint64_t>(reference.error_bound));
+      EXPECT_EQ(r.s_min_exact, reference.exact);
+    }
+  }
+  return full.speedup_breakpoints;
+}
+
+TEST(AnalysisFacadeTest, BreakpointCapNeverCertifiesBelowTrueSmin) {
+  // Table I at 1.32 < 4/3 under a cap of 7 once reported a bound of -0.019
+  // and certified the speed; every cap must give a bracketing bound.
+  EXPECT_EQ(expect_sound_under_every_cap(table1_base(), {1.32}), 8u);
+  expect_sound_under_every_cap(table1_degraded(), {1.32});
+
+  // Seeded Fig. 6 sets (half with log-uniform periods), kept to those whose
+  // uncapped walk is short enough to repeat under every cap.
+  Rng rng(61);
+  int checked = 0;
+  for (int draw = 0; draw < 200 && checked < 12; ++draw) {
+    GenParams params;
+    params.u_bound = 0.50 + 0.05 * static_cast<double>(draw % 10);
+    params.log_uniform_periods = draw % 2 == 0;
+    const auto skeleton = generate_task_set(params, rng);
+    if (!skeleton) continue;
+    const MinXResult mx = min_x_for_lo(*skeleton);
+    if (!mx.feasible) continue;
+    const TaskSet set = skeleton->materialize(mx.x, 2.0);
+    const AnalysisReport full =
+        Analyzer().analyze(set, 1.0, {.speedup = true, .reset = false, .lo = false}).value();
+    if (!full.s_min_exact || full.speedup_breakpoints > 600) continue;
+    SCOPED_TRACE(testing::Message() << "draw " << draw);
+    expect_sound_under_every_cap(set, {full.s_min - 0.01});
+    ++checked;
+  }
+  EXPECT_GE(checked, 8);  // the generator must not starve the test
 }
 
 }  // namespace

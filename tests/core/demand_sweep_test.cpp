@@ -1,10 +1,13 @@
-// Differential tests for the running DBF_HI state that drives the Theorem 2
-// sweep (core/breakpoints.hpp: append_running_seqs, TaggedBreakpointMerger,
-// RunningDemand). At every merged DBF_HI tick up to a fixed horizon the
-// running left limit and value must equal the direct sums dbf_hi_total_left
-// and dbf_hi_total exactly -- on seeded random Fig. 6 sets and on hand-built
-// corner tasks (g = 0, g >= T(HI), ramps running into the next window,
-// C(LO) = C(HI), D(LO) = T, dropped LO tasks, coinciding ticks).
+// Differential tests for the running DBF_HI and ADB_HI states that drive the
+// Theorem 2 and Corollary 5 sweeps (core/breakpoints.hpp:
+// append_running_seqs, TaggedBreakpointMerger, RunningDemand). At every
+// merged DBF_HI tick up to a fixed horizon the running left limit and value
+// must equal the direct sums dbf_hi_total_left and dbf_hi_total exactly --
+// on seeded random Fig. 6 sets and on hand-built corner tasks (g = 0,
+// g >= T(HI), ramps running into the next window, C(LO) = C(HI), D(LO) = T,
+// dropped LO tasks, coinciding ticks) -- and likewise ADB_HI against
+// adb_hi_total_left / adb_hi_total, with and without the dropped tasks'
+// carry-over, while the other family's sums ride along on shared ticks.
 #include "core/breakpoints.hpp"
 
 #include <gtest/gtest.h>
@@ -176,8 +179,91 @@ TEST(DemandSweepTest, CoincidingTicksSumTheirJumps) {
   while (const auto p = merger.next()) {
     if (p->tick < 10) continue;
     EXPECT_EQ(p->tick, 10);
-    EXPECT_EQ(p->jump, dbf_hi_total(set, 10) - dbf_hi_total_left(set, 10));
+    EXPECT_EQ(p->jump[0], dbf_hi_total(set, 10) - dbf_hi_total_left(set, 10));
     break;
+  }
+}
+
+/// ADB_HI of `tasks` (a TaskSet, or unvalidated tasks) as a running sum
+/// against the per-task sums of adb_hi / adb_hi_left -- adb_hi_total /
+/// adb_hi_total_left for a set -- with the DBF_HI sequences riding along as
+/// another consumer: on ticks the two families share, their jumps and slope
+/// changes must stay apart.
+template <class Tasks>
+std::size_t check_adb(const Tasks& tasks, bool discard, Ticks horizon, bool dense = false) {
+  std::vector<TaggedSeq> seqs;
+  RunningDemand start;
+  RunningDemand dbf_start;
+  for (const McTask& t : tasks) {
+    append_running_seqs(
+        adb_hi_breakpoints(t), kDemandMask,
+        [&t, discard](Ticks d) { return adb_hi(t, d, discard); },
+        [&t, discard](Ticks d) { return adb_hi_left(t, d, discard); }, seqs, start);
+    append_running_seqs(
+        dbf_hi_breakpoints(t), kOtherMask, [&t](Ticks d) { return dbf_hi(t, d); },
+        [&t](Ticks d) { return dbf_hi_left(t, d); }, seqs, dbf_start);
+  }
+  const auto sum = [&tasks](auto term) {
+    Ticks total = 0;
+    for (const McTask& t : tasks) total += term(t);
+    return total;
+  };
+  return walk_and_compare(
+      seqs, start, horizon, dense,
+      [&sum, discard](Ticks d) { return sum([=](const McTask& t) { return adb_hi(t, d, discard); }); },
+      [&sum, discard](Ticks d) {
+        return sum([=](const McTask& t) { return adb_hi_left(t, d, discard); });
+      });
+}
+
+TEST(DemandSweepTest, RunningAdbMatchesDirectSumsOnFig6Sets) {
+  int checked_sets = 0;
+  for (std::uint64_t seed = 31; seed <= 54; ++seed) {
+    Rng rng(seed);
+    GenParams params;
+    params.u_bound = 0.50 + 0.05 * static_cast<double>(seed % 10);
+    params.log_uniform_periods = seed % 2 == 0;
+    const auto skeleton = generate_task_set(params, rng);
+    if (!skeleton) continue;
+    const MinXResult mx = min_x_for_lo(*skeleton);
+    if (!mx.feasible) continue;
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    for (const bool discard : {false, true}) {
+      EXPECT_GT(check_adb(skeleton->materialize(mx.x, 2.0), discard, 200'000), 0u);
+      EXPECT_GT(check_adb(skeleton->materialize_terminating(mx.x), discard, 200'000), 0u);
+    }
+    ++checked_sets;
+  }
+  EXPECT_GE(checked_sets, 12);  // the generator must not starve the test
+}
+
+TEST(DemandSweepTest, RunningAdbCornerTasks) {
+  // g = T(HI) - D(LO) = 0, a ramp that ends on the window start, equal
+  // budgets, a dropped task's constant carry-over and tasks whose ticks
+  // coincide, checked between ticks too; then, outside a validated set,
+  // C(LO) = 0 (ramp start = ramp end, counted once).
+  const TaskSet set({McTask::hi("g0", 2, 3, 10, 10, 10), McTask::hi("ramp_to_t", 3, 5, 3, 10, 10),
+                     McTask::lo("eq", 3, 8, 12), McTask::lo_terminated("dropped", 2, 10, 10),
+                     McTask::hi("twin", 3, 5, 3, 10, 10)});
+  const std::vector<McTask> empty_ramp = {McTask::hi("empty_ramp", 0, 2, 4, 9, 12)};
+  for (const bool discard : {false, true}) {
+    SCOPED_TRACE(testing::Message() << "discard " << discard);
+    EXPECT_GT(check_adb(set, discard, 600, /*dense=*/true), 0u);
+    EXPECT_GT(check_adb(empty_ramp, discard, 72, /*dense=*/true), 0u);
+  }
+
+  // A dropped task alone adds its carry-over to the start value, no sequence.
+  const McTask dropped = McTask::lo_terminated("dropped", 2, 10, 10);
+  for (const bool discard : {false, true}) {
+    std::vector<TaggedSeq> seqs;
+    RunningDemand start;
+    append_running_seqs(
+        adb_hi_breakpoints(dropped), kDemandMask,
+        [&dropped, discard](Ticks d) { return adb_hi(dropped, d, discard); },
+        [&dropped, discard](Ticks d) { return adb_hi_left(dropped, d, discard); }, seqs, start);
+    EXPECT_TRUE(seqs.empty());
+    EXPECT_EQ(start.value, discard ? 0 : 2);
+    EXPECT_EQ(start.slope, 0);
   }
 }
 

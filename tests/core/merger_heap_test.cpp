@@ -2,10 +2,12 @@
 // SeqHeap under BreakpointMerger and TaggedBreakpointMerger) and for the
 // running-sum LO-mode walk (core/edf.cpp). The mergers must emit exactly the
 // ticks of a brute-force enumeration of their sequences -- sorted and
-// deduplicated, with masks OR-ed and jumps / slope changes summed per tick --
-// including duplicate starts, singletons (period 0), starts at or past
-// kInfTicks and sequences that end just below kInfTicks. lo_mode_test must
-// agree field for field with a walk that re-sums dbf_lo_total at every tick.
+// deduplicated, with masks OR-ed and jumps / slope changes summed per tick
+// and per consumer -- including duplicate starts, singletons (period 0),
+// starts at or past kInfTicks and sequences that end just below kInfTicks.
+// Given a shrinking mask of live consumers, the tagged merger must emit the
+// brute-force merge of the sequences still live. lo_mode_test must agree
+// field for field with a walk that re-sums dbf_lo_total at every tick.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -79,30 +81,97 @@ std::vector<TaggedSeq> random_seqs(Rng& rng) {
   return seqs;
 }
 
+/// The consumer a sequence's jump and slope change count toward: its lowest
+/// mask bit, or 0 for an untagged sequence.
+unsigned consumer_of(unsigned mask) {
+  for (unsigned c = 0; c < kTaggedConsumers; ++c)
+    if ((mask & (1u << c)) != 0) return c;
+  return 0;
+}
+
+/// Adds sequence `s`'s element at `at` to the brute-force point `p`.
+void add_to_point(const TaggedSeq& s, Ticks at, TaggedBreakpointMerger::Point& p) {
+  p.tick = at;
+  p.mask |= s.mask;
+  p.jump[consumer_of(s.mask)] += s.jump;
+  p.dslope[consumer_of(s.mask)] += s.dslope;
+}
+
+void expect_same_point(const TaggedBreakpointMerger::Point& got,
+                       const TaggedBreakpointMerger::Point& want) {
+  EXPECT_EQ(got.tick, want.tick);
+  EXPECT_EQ(got.mask, want.mask) << "tick " << want.tick;
+  for (unsigned c = 0; c < kTaggedConsumers; ++c) {
+    EXPECT_EQ(got.jump[c], want.jump[c]) << "tick " << want.tick << " consumer " << c;
+    EXPECT_EQ(got.dslope[c], want.dslope[c]) << "tick " << want.tick << " consumer " << c;
+  }
+}
+
 TEST(MergerHeapTest, TaggedMergerMatchesBruteForce) {
   Rng rng(2024);
   for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
     const std::vector<TaggedSeq> seqs = random_seqs(rng);
     std::map<Ticks, TaggedBreakpointMerger::Point> expected;
     for (const TaggedSeq& s : seqs)
-      for (Ticks at : enumerate(s.seq)) {
-        TaggedBreakpointMerger::Point& p = expected[at];
-        p.tick = at;
-        p.mask |= s.mask;
-        p.jump += s.jump;
-        p.dslope += s.dslope;
-      }
+      for (Ticks at : enumerate(s.seq)) add_to_point(s, at, expected[at]);
     TaggedBreakpointMerger merger(seqs);
     for (const auto& [tick, want] : expected) {
       const std::optional<TaggedBreakpointMerger::Point> got = merger.next();
-      ASSERT_TRUE(got.has_value()) << "trial " << trial << " missing tick " << tick;
-      EXPECT_EQ(got->tick, want.tick) << "trial " << trial;
-      EXPECT_EQ(got->mask, want.mask) << "trial " << trial << " tick " << tick;
-      EXPECT_EQ(got->jump, want.jump) << "trial " << trial << " tick " << tick;
-      EXPECT_EQ(got->dslope, want.dslope) << "trial " << trial << " tick " << tick;
+      ASSERT_TRUE(got.has_value()) << "missing tick " << tick;
+      expect_same_point(*got, want);
     }
-    EXPECT_FALSE(merger.next().has_value()) << "trial " << trial;
-    EXPECT_FALSE(merger.next().has_value()) << "trial " << trial;
+    EXPECT_FALSE(merger.next().has_value());
+    EXPECT_FALSE(merger.next().has_value());
+  }
+}
+
+TEST(MergerHeapTest, LiveMaskDropsSettledConsumersOnly) {
+  // The random sequences, some tagged for two consumers and some untagged,
+  // walked while consumers leave the live mask one by one at random calls.
+  // Each call must emit the smallest tick past the last one among the
+  // sequences still serving a live consumer (or untagged), with the sums of
+  // exactly those sequences on it.
+  Rng rng(4242);
+  for (int trial = 0; trial < 400; ++trial) {
+    SCOPED_TRACE(testing::Message() << "trial " << trial);
+    std::vector<TaggedSeq> seqs = random_seqs(rng);
+    for (TaggedSeq& s : seqs) {
+      const auto kind = rng.uniform_int(0, 5);
+      if (kind == 0) s.mask = 0;
+      if (kind == 1) s.mask |= 1u << rng.uniform_int(0, 3);
+    }
+    std::vector<std::vector<Ticks>> elements;
+    for (const TaggedSeq& s : seqs) elements.push_back(enumerate(s.seq));
+    std::int64_t leaves_at[kTaggedConsumers];  // call index a consumer settles at
+    for (std::int64_t& at : leaves_at) at = rng.uniform_int(0, 12);
+
+    TaggedBreakpointMerger merger(seqs);
+    Ticks last = -1;
+    for (std::int64_t call = 0;; ++call) {
+      unsigned live = 0;
+      for (unsigned c = 0; c < kTaggedConsumers; ++c)
+        if (call < leaves_at[c]) live |= 1u << c;
+      const auto serves = [live](const TaggedSeq& s) { return s.mask == 0 || (s.mask & live) != 0; };
+      Ticks tick = kInfTicks;
+      for (std::size_t i = 0; i < seqs.size(); ++i) {
+        if (!serves(seqs[i])) continue;
+        const auto it = std::upper_bound(elements[i].begin(), elements[i].end(), last);
+        if (it != elements[i].end()) tick = std::min(tick, *it);
+      }
+      const std::optional<TaggedBreakpointMerger::Point> got = merger.next(live);
+      if (tick == kInfTicks) {
+        EXPECT_FALSE(got.has_value()) << "call " << call;
+        break;
+      }
+      ASSERT_TRUE(got.has_value()) << "call " << call << " missing tick " << tick;
+      TaggedBreakpointMerger::Point want;
+      for (std::size_t i = 0; i < seqs.size(); ++i)
+        if (serves(seqs[i]) && std::binary_search(elements[i].begin(), elements[i].end(), tick))
+          add_to_point(seqs[i], tick, want);
+      expect_same_point(*got, want);
+      last = tick;
+    }
   }
 }
 
@@ -143,7 +212,7 @@ TEST(MergerHeapTest, InfiniteSequencesInterleaveInOrder) {
       const auto p = merger.next();
       ASSERT_TRUE(p.has_value());
       ASSERT_EQ(p->tick, tick) << "trial " << trial;
-      EXPECT_EQ(p->jump, hits) << "trial " << trial << " tick " << tick;
+      EXPECT_EQ(p->jump[0], hits) << "trial " << trial << " tick " << tick;
     }
     const auto past = merger.next();
     ASSERT_TRUE(past.has_value());
